@@ -56,6 +56,11 @@ pub struct BatchStats {
     /// Injections that ran with a matching snapshot installed (the delta
     /// path). The remainder fell back to the dense resume path.
     pub delta_eligible: usize,
+    /// Downstream nodes the delta walks recomputed, windowed or whole.
+    pub nodes_recomputed: usize,
+    /// Recomputed nodes whose output came back bit-identical to golden,
+    /// ending the fault cone there.
+    pub nodes_reconverged: usize,
 }
 
 /// Serial batched-injection driver: one [`Workspace`], one golden snapshot
@@ -197,7 +202,7 @@ impl BatchedInjectionRunner {
             }
         }
         self.stats.injections += 1;
-        inject_once_pooled(
+        let injection = inject_once_pooled(
             engine,
             trace,
             node,
@@ -206,7 +211,11 @@ impl BatchedInjectionRunner {
             rng,
             deadline,
             &mut self.ws,
-        )
+        );
+        let walk = self.ws.take_delta_walk();
+        self.stats.nodes_recomputed += walk.recomputed;
+        self.stats.nodes_reconverged += walk.reconverged;
+        injection
     }
 
     /// Drops the installed snapshot and recycles its buffers. The next `run`
@@ -304,6 +313,8 @@ mod tests {
         let stats = runner.stats();
         assert!(stats.groups >= 2, "two traces → at least two groups");
         assert_eq!(stats.delta_eligible, stats.injections);
+        assert!(stats.nodes_recomputed > 0, "delta walks recomputed nothing");
+        assert!(stats.nodes_reconverged <= stats.nodes_recomputed);
     }
 
     /// `group_order` brings same-key requests together while preserving
@@ -339,6 +350,7 @@ mod tests {
         let stats = runner.stats();
         assert_eq!(stats.installs, 0);
         assert_eq!(stats.delta_eligible, 0);
+        assert_eq!(stats.nodes_recomputed, 0);
         assert_eq!(stats.injections, 1);
     }
 }

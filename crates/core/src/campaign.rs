@@ -78,14 +78,15 @@ pub struct CampaignSpec {
     /// campaign silent. Excluded from the checkpoint fingerprint: reporting
     /// never changes the statistics.
     pub progress: Option<ProgressSpec>,
-    /// Batched fault-cone evaluation (`--batch`). When `> 0`, each worker
-    /// installs a shared read-only golden snapshot of the trace in its
-    /// workspace and every injection is evaluated as a sparse delta over its
-    /// downstream cone ([`Engine::resume_delta`]); the snapshot is
-    /// re-ensured every `batch` samples so a panic that lost the overlay
-    /// falls back to at most `batch - 1` dense resumes. `0` disables
-    /// batching. Pure scheduling/evaluation policy: per-cell RNG streams and
-    /// every produced value are bit-identical either way, so the field is
+    /// Batched fault-cone evaluation (`--batch`, default 64). When `> 0`,
+    /// each worker installs a shared read-only golden snapshot of the trace
+    /// in its workspace and every injection is evaluated as a sparse delta
+    /// over its value-exact downstream cone ([`Engine::resume_delta`]); the
+    /// snapshot is re-ensured every `batch` samples so a panic that lost the
+    /// overlay falls back to at most `batch - 1` dense resumes. `0` is the
+    /// dense oracle: every injection re-runs its downstream nodes in full.
+    /// Pure scheduling/evaluation policy: per-cell RNG streams and every
+    /// produced value are bit-identical either way, so the field is
     /// excluded from the checkpoint fingerprint.
     pub batch: usize,
     /// MAC kernel tier for injected forwards (`--mac-tier`).
@@ -115,7 +116,7 @@ impl Default for CampaignSpec {
             target_ci_halfwidth: None,
             resilience: ResilienceSpec::default(),
             progress: None,
-            batch: 0,
+            batch: 64,
             mac_tier: MacTier::Bitwise,
             adaptive: None,
         }

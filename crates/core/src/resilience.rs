@@ -875,9 +875,13 @@ mod tests {
         let mut other = base.clone();
         other.threads = base.threads + 1; // scheduling is irrelevant
         assert_eq!(fp, campaign_fingerprint(&other, "net", &plan));
-        let mut batched = base.clone();
-        batched.batch = 64; // batching is policy, results are bit-identical
-        assert_eq!(fp, campaign_fingerprint(&batched, "net", &plan));
+        // Batching is policy, results are bit-identical: the dense oracle
+        // and every cadence share the default's fingerprint.
+        for batch in [0, 1, 64, 65] {
+            let mut batched = base.clone();
+            batched.batch = batch;
+            assert_eq!(fp, campaign_fingerprint(&batched, "net", &plan));
+        }
         let mut fast = base.clone();
         fast.mac_tier = fidelity_dnn::macspec::MacTier::Fast; // may change bits
         assert_ne!(fp, campaign_fingerprint(&fast, "net", &plan));

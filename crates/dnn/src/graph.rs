@@ -18,8 +18,8 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use crate::error::DnnError;
-use crate::layers::{for_each_window_row, Layer};
-use crate::macspec::MacSpec;
+use crate::layers::{for_each_window_row, Layer, LayerKind};
+use crate::macspec::{MacSpec, MacTier};
 use crate::precision::{calibrate_scale, Precision, ValueCodec};
 use crate::tensor::Tensor;
 use crate::workspace::{GoldenOverlay, Region, Workspace};
@@ -294,18 +294,18 @@ fn fnv_tensor(mut h: u64, t: &Tensor) -> u64 {
     h
 }
 
-/// Spatial bounding box of a set of flat offsets into a rank-4 NCHW tensor
-/// (`Region::All` for other ranks — no spatial structure to exploit).
-fn sparse_region(shape: &[usize], neurons: &[usize]) -> Region {
+/// Bounding region of the flat `offsets` into a tensor of `shape`: `None`
+/// when there are none, the spatial bounding box for a rank-4 NCHW tensor,
+/// `Region::All` for other ranks (no spatial structure to exploit).
+fn offsets_region(shape: &[usize], offsets: impl IntoIterator<Item = usize>) -> Option<Region> {
+    let mut offsets = offsets.into_iter().peekable();
+    offsets.peek()?;
     if shape.len() != 4 {
-        return Region::All;
+        return Some(Region::All);
     }
     let (hh, ww) = (shape[2], shape[3]);
-    if hh == 0 || ww == 0 {
-        return Region::All;
-    }
     let (mut h0, mut h1, mut w0, mut w1) = (usize::MAX, 0usize, usize::MAX, 0usize);
-    for &off in neurons {
+    for off in offsets {
         let r = (off / ww) % hh;
         let c = off % ww;
         h0 = h0.min(r);
@@ -313,26 +313,58 @@ fn sparse_region(shape: &[usize], neurons: &[usize]) -> Region {
         w0 = w0.min(c);
         w1 = w1.max(c + 1);
     }
-    if neurons.is_empty() {
-        // Empty patch: an empty window, which downstream unions ignore.
-        return Region::Window {
-            h: (0, 0),
-            w: (0, 0),
-        };
-    }
-    Region::Window {
+    Some(Region::Window {
         h: (h0, h1),
         w: (w0, w1),
-    }
+    })
 }
 
-/// `Some(region)` when the region covers at least one element, else `None`
-/// (so an empty patch marks the node clean and the walk short-circuits).
-fn nonempty_region(r: Region) -> Option<Region> {
-    match r {
-        Region::All => Some(Region::All),
-        Region::Window { h, w } => (h.0 < h.1 && w.0 < w.1).then_some(r),
+/// The tight divergence region of `cur` from `gold` within the spatial
+/// window `h × w` of a rank-4 NCHW tensor (clamped to the shape): the
+/// bounding box of every element whose bits differ, or `None` when the
+/// window is bit-identical. Other ranks have no window and report
+/// `Region::All` when any element differs.
+///
+/// Bits, not floats: `-0.0` vs `+0.0` and NaN payloads count as
+/// differences, so the region never under-covers what repair must restore
+/// or what a consumer might see.
+fn diff_region(
+    cur: &Tensor,
+    gold: &Tensor,
+    h: (usize, usize),
+    w: (usize, usize),
+) -> Option<Region> {
+    let (a, b) = (cur.data(), gold.data());
+    let differs = |(x, y): (&f32, &f32)| x.to_bits() != y.to_bits();
+    let shape = cur.shape();
+    if shape.len() != 4 {
+        return a.iter().zip(b).any(differs).then_some(Region::All);
     }
+    let (planes, hh, ww) = (shape[0] * shape[1], shape[2], shape[3]);
+    let (h0, h1) = (h.0.min(hh), h.1.min(hh));
+    let (w0, w1) = (w.0.min(ww), w.1.min(ww));
+    let (mut r0, mut r1, mut c0, mut c1) = (usize::MAX, 0usize, usize::MAX, 0usize);
+    'scan: for plane in 0..planes {
+        for r in h0..h1 {
+            let row = plane * hh * ww + r * ww;
+            let (ra, rb) = (&a[row + w0..row + w1], &b[row + w0..row + w1]);
+            let Some(first) = ra.iter().zip(rb).position(differs) else {
+                continue;
+            };
+            let last = ra.iter().zip(rb).rposition(differs).unwrap_or(first);
+            r0 = r0.min(r);
+            r1 = r1.max(r + 1);
+            c0 = c0.min(w0 + first);
+            c1 = c1.max(w0 + last + 1);
+            if (r0, r1, c0, c1) == (h0, h1, w0, w1) {
+                break 'scan; // the box already spans the window
+            }
+        }
+    }
+    (r0 < r1).then_some(Region::Window {
+        h: (r0, r1),
+        w: (c0, c1),
+    })
 }
 
 /// Unions two divergence regions: `All` absorbs everything, windows union to
@@ -352,22 +384,23 @@ fn union_region(a: Option<Region>, b: Region) -> Region {
 }
 
 /// Copies every dirty region of the overlay back from the golden trace,
-/// restoring bit-exact golden slots and clearing the worklist.
-fn repair_overlay(overlay: &mut GoldenOverlay, trace: &Trace) {
+/// restoring bit-exact golden slots and clearing the worklist. Nodes whose
+/// value lives in a `side` slot (whole-tensor recomputes) never wrote to
+/// their overlay slot, so they need no copy.
+fn repair_overlay(overlay: &mut GoldenOverlay, side: &[Option<Tensor>], trace: &Trace) {
     for (idx, dirty) in overlay.dirty.iter_mut().enumerate() {
         let Some(region) = dirty.take() else {
             continue;
         };
+        if side[idx].is_some() {
+            continue;
+        }
         let src = trace.node_outputs[idx].data();
         let dst = overlay.slots[idx].data_mut();
         match region {
             Region::All => dst.copy_from_slice(src),
             Region::Window { h, w } => {
-                let dims = {
-                    let s = trace.node_outputs[idx].shape();
-                    [s[0], s[1], s[2], s[3]]
-                };
-                for_each_window_row(&dims, h, w, |a, b| {
+                for_each_window_row(trace.node_outputs[idx].shape(), h, w, |a, b| {
                     dst[a..b].copy_from_slice(&src[a..b]);
                 });
             }
@@ -794,19 +827,33 @@ impl Engine {
     ///
     /// `neurons`/`values` describe the corrupted output of node `node_idx`
     /// as "offset `neurons[i]` holds `values[i]` instead of its clean
-    /// value". The engine patches the overlay's copy of that node, walks the
-    /// downstream cone recomputing each affected node — restricted to a
+    /// value". The engine patches the overlay's copy of that node and walks
+    /// the downstream cone. Each affected node is recomputed over a
     /// conservative spatial window wherever the layer's
-    /// [`Layer::region_map`] provides one, a full forward otherwise — calls
-    /// `judge` on the resulting network output, then repairs every touched
-    /// overlay region back to golden bits and returns the judge's verdict.
+    /// [`Layer::region_map`] provides one, and as a full forward otherwise.
+    /// The walk then calls `judge` on the resulting network output, repairs
+    /// every touched overlay region back to golden bits and returns the
+    /// judge's verdict.
+    ///
+    /// The cone is *value-exact*: after each recompute, the node's dirty
+    /// region shrinks to the bounding box of the elements whose bits differ
+    /// from the golden trace, and to nothing when none do. A node whose
+    /// sources are all clean again is skipped, so a perturbation that a
+    /// ReLU, a max-pool or quantization masks ends the walk at that layer.
+    /// Full forwards land in side slots drawn from the workspace rather
+    /// than in the overlay, so repair never copies a whole tensor back.
     ///
     /// Results are bit-identical to building the dense replacement tensor
     /// and calling [`Engine::resume_pooled`]:
     /// * windows are conservative supersets of the true fault cone, and
     ///   recomputing a *clean* neuron reproduces its golden bits exactly
     ///   (kernels are deterministic and quantization/bounding are idempotent
-    ///   on already-quantized, already-bounded values);
+    ///   on already-quantized, already-bounded values), so a node fed only
+    ///   golden bits needs no recompute;
+    /// * under [`MacTier::Fast`] a Dense/MatMul node fed golden bits need
+    ///   not reproduce its (bitwise-tier) golden output, so the walk always
+    ///   recomputes downstream Dense/MatMul nodes under that tier, as the
+    ///   dense path does;
     /// * each recomputed neuron sees the identical accumulation order
     ///   ([`MacSpec::forward_region_into_scratch`] only narrows loop
     ///   bounds);
@@ -820,7 +867,14 @@ impl Engine {
     /// NaN payloads are the single IEEE-754 artifact the compiler may
     /// legally vary between locations (see [`MacTier`]). All campaign
     /// statistics are NaN-payload-insensitive, so this never surfaces in
-    /// results.
+    /// results. The cone compares bits, so a differing payload keeps the
+    /// node dirty.
+    ///
+    /// Cone work is counted in the workspace's [`crate::workspace::DeltaWalk`]
+    /// counters ([`Workspace::take_delta_walk`]).
+    ///
+    /// [`MacTier`]: crate::macspec::MacTier
+    /// [`MacTier::Fast`]: crate::macspec::MacTier::Fast
     ///
     /// # Errors
     ///
@@ -871,15 +925,53 @@ impl Engine {
                 message: "delta resume requires an installed golden overlay".into(),
             });
         }
+        let mut side = ws.take_slots(n);
+        let walked = self.delta_walk(
+            trace,
+            node_idx,
+            neurons,
+            values,
+            deadline,
+            ws,
+            &mut overlay,
+            &mut side,
+        );
+        let verdict = walked.map(|()| match self.network.output {
+            Source::Input(i) => judge(&trace.inputs[i]),
+            Source::Node(i) => judge(side[i].as_ref().unwrap_or(&overlay.slots[i])),
+        });
+        repair_overlay(&mut overlay, &side, trace);
+        ws.put_slots(side);
+        ws.put_golden(overlay);
+        verdict
+    }
 
+    /// The walk behind [`Engine::resume_delta`]: patches the injected node
+    /// into `overlay` and recomputes its value-exact cone. On return, node
+    /// `j`'s value is `side[j]` when set (a full forward) and
+    /// `overlay.slots[j]` otherwise; `overlay.dirty[j]` bounds where that
+    /// value differs from golden, and everything outside it holds golden
+    /// bits. The caller repairs the overlay whether or not the walk failed.
+    #[allow(clippy::too_many_arguments)]
+    fn delta_walk(
+        &self,
+        trace: &Trace,
+        node_idx: usize,
+        neurons: &[usize],
+        values: &[f32],
+        deadline: Option<Instant>,
+        ws: &mut Workspace,
+        overlay: &mut GoldenOverlay,
+        side: &mut [Option<Tensor>],
+    ) -> Result<(), DnnError> {
         // Patch the injected node sparsely. Bounding only the patched
         // offsets equals bounding the whole spliced tensor: clean values
         // satisfy |v| ≤ bound by calibration (slack ≥ 1), so the clamp is
-        // the identity on them.
+        // the identity on them. Offsets whose patched bits equal golden
+        // (a clamp back onto the clean value) start the cone clean.
         let bound = self.node_bounds.as_ref().map(|b| b[node_idx]);
         {
             let slot = &mut overlay.slots[node_idx];
-            overlay.dirty[node_idx] = nonempty_region(sparse_region(slot.shape(), neurons));
             let data = slot.data_mut();
             for (&off, &v) in neurons.iter().zip(values) {
                 data[off] = match bound {
@@ -887,26 +979,37 @@ impl Engine {
                     None => v,
                 };
             }
+            let gold = trace.node_outputs[node_idx].data();
+            let data = slot.data();
+            overlay.dirty[node_idx] = offsets_region(
+                slot.shape(),
+                neurons
+                    .iter()
+                    .copied()
+                    .filter(|&off| data[off].to_bits() != gold[off].to_bits()),
+            );
         }
 
+        let fast_tier = ws.mac_tier() == MacTier::Fast;
         let down = &self.downstream[node_idx];
-        let mut failure: Option<DnnError> = None;
-        for idx in node_idx + 1..n {
+        let mut result = Ok(());
+        for idx in node_idx + 1..self.network.node_count() {
             if down[idx / 64] >> (idx % 64) & 1 == 0 {
                 continue; // not downstream of the corruption
             }
             if let Some(d) = deadline {
                 if fidelity_obs::clock::now() >= d {
                     fidelity_obs::metrics::counter("dnn.deadline_exceeded").inc();
-                    failure = Some(DnnError::DeadlineExceeded);
+                    result = Err(DnnError::DeadlineExceeded);
                     break;
                 }
             }
             let node = &self.network.nodes[idx];
 
             // Union of the regions in which this node's sources diverge
-            // from golden. All-clean sources can happen when an upstream
-            // window degenerated to empty; the node is then provably clean.
+            // from golden. All-clean sources mean every upstream
+            // perturbation was masked (or its window fell off the grid):
+            // the node is provably clean.
             let mut src_dirty: Option<Region> = None;
             for src in &node.sources {
                 if let Source::Node(j) = src {
@@ -915,8 +1018,14 @@ impl Engine {
                     }
                 }
             }
-            let Some(src_dirty) = src_dirty else {
-                continue;
+            let src_dirty = match src_dirty {
+                Some(r) => r,
+                None if fast_tier
+                    && matches!(node.layer.kind(), LayerKind::Dense | LayerKind::MatMul) =>
+                {
+                    Region::All
+                }
+                None => continue,
             };
 
             // Forward image of the dirty input region, when the layer has
@@ -956,6 +1065,7 @@ impl Engine {
                     Source::Node(j) => self.node_codecs[*j] == codec,
                 });
             let needs_quant = codec.precision() != Precision::Fp32 && !on_grid;
+            let gold = &trace.node_outputs[idx];
 
             let mut handled = false;
             if let Region::Window { h, w } = out_region {
@@ -969,7 +1079,7 @@ impl Engine {
                 let resolve = |src: &Source| -> &Tensor {
                     match src {
                         Source::Input(i) => &trace.inputs[*i],
-                        Source::Node(j) => &head[*j],
+                        Source::Node(j) => side[*j].as_ref().unwrap_or(&head[*j]),
                     }
                 };
                 let mut ref_buf: [&Tensor; 8] = [&trace.output; 8];
@@ -985,13 +1095,9 @@ impl Engine {
                 };
                 match node.layer.forward_region(in_refs, h, w, out_t, ws) {
                     Ok(true) => {
-                        let dims = {
-                            let s = out_t.shape();
-                            [s[0], s[1], s[2], s[3]]
-                        };
                         let data = out_t.data_mut();
                         if needs_quant {
-                            for_each_window_row(&dims, h, w, |a, b| {
+                            for_each_window_row(gold.shape(), h, w, |a, b| {
                                 for v in &mut data[a..b] {
                                     *v = codec.quantize(*v);
                                 }
@@ -999,28 +1105,27 @@ impl Engine {
                         }
                         if let Some(bounds) = &self.node_bounds {
                             let node_bound = bounds[idx];
-                            for_each_window_row(&dims, h, w, |a, b| {
+                            for_each_window_row(gold.shape(), h, w, |a, b| {
                                 for v in &mut data[a..b] {
                                     *v = clamp_to_bound(*v, node_bound);
                                 }
                             });
                         }
-                        overlay.dirty[idx] = Some(Region::Window { h, w });
+                        overlay.dirty[idx] = diff_region(out_t, gold, h, w);
                         handled = true;
                     }
                     Ok(false) => {} // fall through to the full forward
                     Err(e) => {
-                        failure = Some(e);
+                        result = Err(e);
                         break;
                     }
                 }
             }
             if !handled {
-                let (head, tail) = overlay.slots.split_at_mut(idx);
                 let resolve = |src: &Source| -> &Tensor {
                     match src {
                         Source::Input(i) => &trace.inputs[*i],
-                        Source::Node(j) => &head[*j],
+                        Source::Node(j) => side[*j].as_ref().unwrap_or(&overlay.slots[*j]),
                     }
                 };
                 let mut ref_buf: [&Tensor; 8] = [&trace.output; 8];
@@ -1043,31 +1148,28 @@ impl Engine {
                             let node_bound = bounds[idx];
                             raw.map_inplace(|v| clamp_to_bound(v, node_bound));
                         }
-                        let old = std::mem::replace(&mut tail[0], raw);
-                        ws.recycle(old);
-                        overlay.dirty[idx] = Some(Region::All);
+                        // The whole tensor is compared, so an `All` region
+                        // can shrink back to a window (or to clean).
+                        overlay.dirty[idx] =
+                            diff_region(&raw, gold, (0, usize::MAX), (0, usize::MAX));
+                        if overlay.dirty[idx].is_some() {
+                            side[idx] = Some(raw);
+                        } else {
+                            ws.recycle(raw);
+                        }
                     }
                     Err(e) => {
-                        failure = Some(e);
+                        result = Err(e);
                         break;
                     }
                 }
             }
+            ws.delta_walk.recomputed += 1;
+            if overlay.dirty[idx].is_none() {
+                ws.delta_walk.reconverged += 1;
+            }
         }
-
-        if let Some(e) = failure {
-            repair_overlay(&mut overlay, trace);
-            ws.put_golden(overlay);
-            return Err(e);
-        }
-
-        let verdict = match self.network.output {
-            Source::Input(i) => judge(&trace.inputs[i]),
-            Source::Node(i) => judge(&overlay.slots[i]),
-        };
-        repair_overlay(&mut overlay, trace);
-        ws.put_golden(overlay);
-        Ok(verdict)
+        result
     }
 
     /// Whether node `dependent` transitively consumes node `of`'s output
@@ -1381,6 +1483,7 @@ fn run(
 mod tests {
     use super::*;
     use crate::layers::{Activation, ActivationKind, Add, Dense};
+    use crate::workspace::DeltaWalk;
 
     fn two_layer_net() -> Network {
         let w1 = Tensor::from_vec(vec![2, 2], vec![1.0, 0.0, 0.0, 1.0]).unwrap();
@@ -1780,17 +1883,17 @@ mod tests {
     #[test]
     fn sparse_and_union_region_geometry() {
         // Bounding box over scattered rank-4 offsets.
-        let r = sparse_region(&[1, 2, 4, 5], &[7, 13]);
+        let r = offsets_region(&[1, 2, 4, 5], [7, 13]);
         // 7 -> (row 1, col 2); 13 -> (row 2, col 3).
         assert_eq!(
             r,
-            Region::Window {
+            Some(Region::Window {
                 h: (1, 3),
                 w: (2, 4)
-            }
+            })
         );
-        assert_eq!(sparse_region(&[2, 10], &[3]), Region::All);
-        assert_eq!(nonempty_region(sparse_region(&[1, 1, 4, 4], &[])), None);
+        assert_eq!(offsets_region(&[2, 10], [3]), Some(Region::All));
+        assert_eq!(offsets_region(&[1, 1, 4, 4], []), None);
 
         let w1 = Region::Window {
             h: (0, 2),
@@ -1810,5 +1913,189 @@ mod tests {
         assert_eq!(union_region(None, w1), w1);
         assert_eq!(union_region(Some(Region::All), w2), Region::All);
         assert_eq!(union_region(Some(w1), Region::All), Region::All);
+    }
+
+    #[test]
+    fn diff_region_is_tight_and_bitwise() {
+        let gold = Tensor::zeros(vec![1, 2, 4, 5]);
+        let mut cur = gold.clone();
+        // Plane 0 (row 0, col 1) flips only the sign bit; plane 1 (row 2,
+        // col 3) differs by value.
+        cur.data_mut()[1] = -0.0;
+        cur.data_mut()[20 + 2 * 5 + 3] = 1.0;
+        let all = (0, usize::MAX);
+        assert_eq!(
+            diff_region(&cur, &gold, all, all),
+            Some(Region::Window {
+                h: (0, 3),
+                w: (1, 4)
+            })
+        );
+        // Restricted to a window, only the differences inside it count.
+        assert_eq!(
+            diff_region(&cur, &gold, (2, 4), (0, 5)),
+            Some(Region::Window {
+                h: (2, 3),
+                w: (3, 4)
+            })
+        );
+        assert_eq!(diff_region(&gold, &gold, all, all), None);
+        // NaN payloads are bits like any other.
+        let nan_a = Tensor::full(vec![2, 3], f32::from_bits(0x7FC0_0001));
+        let nan_b = Tensor::full(vec![2, 3], f32::from_bits(0x7FC0_0002));
+        assert_eq!(diff_region(&nan_a, &nan_b, all, all), Some(Region::All));
+        assert_eq!(diff_region(&nan_a, &nan_a, all, all), None);
+    }
+
+    /// Whether flat offset `off` of a tensor of `shape` lies in `region`.
+    fn in_region(shape: &[usize], off: usize, region: Option<Region>) -> bool {
+        match region {
+            None => false,
+            Some(Region::All) => true,
+            Some(Region::Window { h, w }) => {
+                let (r, c) = ((off / shape[3]) % shape[2], off % shape[3]);
+                (h.0..h.1).contains(&r) && (w.0..w.1).contains(&c)
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// The value-exact cone's invariants, node by node, against the
+        /// dense executor: every offset outside a node's reported dirty
+        /// region holds golden bits, a node is dirty iff its dense value
+        /// differs from golden, and every node's value equals the dense one.
+        #[test]
+        fn delta_walk_regions_are_exact(
+            net_seed in 1u64..50,
+            precision_idx in 0usize..3,
+            bounded in proptest::prelude::prop_oneof![
+                proptest::prelude::Just(false),
+                proptest::prelude::Just(true)
+            ],
+            node in 0usize..10,
+            flips in proptest::collection::vec((0usize..100_000, 0u32..32), 1..4),
+        ) {
+            let precision = [Precision::Fp32, Precision::Fp16, Precision::Int8][precision_idx];
+            let x = lcg_fill(&mut (net_seed ^ 0xD00D), vec![1, 2, 6, 6]);
+            let mut engine =
+                Engine::new(branchy_conv_net(net_seed), precision, &[vec![x.clone()]]).unwrap();
+            if bounded {
+                engine
+                    .enable_range_bounding(std::slice::from_ref(&x), 1.5)
+                    .unwrap();
+            }
+            let trace = engine.trace(std::slice::from_ref(&x)).unwrap();
+            let n = engine.network().node_count();
+            let node = node % n;
+            let gold_node = trace.node_outputs[node].data();
+            let neurons: Vec<usize> = flips.iter().map(|&(o, _)| o % gold_node.len()).collect();
+            let values: Vec<f32> = neurons
+                .iter()
+                .zip(&flips)
+                .map(|(&o, &(_, bit))| f32::from_bits(gold_node[o].to_bits() ^ (1 << bit)))
+                .collect();
+
+            // Dense oracle: every node of the resumed network.
+            let mut repl = trace.node_outputs[node].clone();
+            for (&off, &v) in neurons.iter().zip(&values) {
+                repl.data_mut()[off] = v;
+            }
+            let dense = engine
+                .run(std::slice::from_ref(&x), Some((node, repl.clone())), Some(&trace))
+                .unwrap()
+                .1;
+            let pooled = engine
+                .resume_pooled(&trace, node, repl, None, &mut Workspace::new())
+                .unwrap();
+            proptest::prelude::prop_assert_eq!(bits_of(pooled.tensor()), bits_of(&dense.output));
+
+            let mut ws = Workspace::new();
+            ws.install_golden(golden_key(&trace), &trace.node_outputs);
+            let mut overlay = ws.take_golden();
+            let mut side = ws.take_slots(n);
+            engine
+                .delta_walk(&trace, node, &neurons, &values, None, &mut ws, &mut overlay, &mut side)
+                .unwrap();
+            for (j, computed) in side.iter().enumerate() {
+                let value = computed.as_ref().unwrap_or(&overlay.slots[j]);
+                let gold = &trace.node_outputs[j];
+                let region = overlay.dirty[j];
+                for (off, (v, g)) in value.data().iter().zip(gold.data()).enumerate() {
+                    proptest::prelude::prop_assert!(
+                        in_region(gold.shape(), off, region) || v.to_bits() == g.to_bits(),
+                        "node {j} offset {off} differs outside its region {region:?}"
+                    );
+                }
+                proptest::prelude::prop_assert_eq!(
+                    region.is_some(),
+                    bits_of(&dense.node_outputs[j]) != bits_of(gold),
+                    "node {} dirty flag disagrees with the dense executor", j
+                );
+                proptest::prelude::prop_assert_eq!(
+                    bits_of(value),
+                    bits_of(&dense.node_outputs[j]),
+                    "node {} value diverges from the dense executor", j
+                );
+            }
+            repair_overlay(&mut overlay, &side, &trace);
+            ws.put_slots(side);
+            for (slot, gold) in overlay.slots.iter().zip(&trace.node_outputs) {
+                proptest::prelude::prop_assert_eq!(bits_of(slot), bits_of(gold), "overlay not repaired");
+            }
+            proptest::prelude::prop_assert!(overlay.dirty.iter().all(Option::is_none));
+        }
+    }
+
+    /// A ReLU that zeroes a negative perturbation ends the cone: the ReLU
+    /// is the only node recomputed, nothing downstream of it is touched,
+    /// and the output keeps its golden bits. Under the Fast tier the dense
+    /// head is recomputed as well, matching the dense path's Fast forward.
+    #[test]
+    fn relu_masked_perturbation_stops_the_cone() {
+        let x = lcg_fill(&mut 0xD00D_u64, vec![1, 2, 6, 6]);
+        let engine = Engine::new(branchy_conv_net(7), Precision::Fp32, &[]).unwrap();
+        let trace = engine.trace(std::slice::from_ref(&x)).unwrap();
+        let stem = engine.network().node_index("stem").unwrap();
+        let off = trace.node_outputs[stem]
+            .data()
+            .iter()
+            .position(|&v| v < 0.0)
+            .expect("the stem has a negative pre-activation");
+        let faulty = trace.node_outputs[stem].data()[off] * 4.0 - 1.0;
+
+        let mut ws = Workspace::new();
+        ws.install_golden(golden_key(&trace), &trace.node_outputs);
+        let out = engine
+            .resume_delta(&trace, stem, &[off], &[faulty], None, &mut ws, bits_of)
+            .unwrap();
+        assert_eq!(out, bits_of(&trace.output));
+        assert_eq!(
+            ws.take_delta_walk(),
+            DeltaWalk {
+                recomputed: 1,
+                reconverged: 1
+            },
+            "only the ReLU may be recomputed"
+        );
+
+        ws.set_mac_tier(MacTier::Fast);
+        let fast = engine
+            .resume_delta(&trace, stem, &[off], &[faulty], None, &mut ws, bits_of)
+            .unwrap();
+        let mut repl = trace.node_outputs[stem].clone();
+        repl.data_mut()[off] = faulty;
+        let mut dense_ws = Workspace::new();
+        dense_ws.set_mac_tier(MacTier::Fast);
+        let dense = engine
+            .resume_pooled(&trace, stem, repl, None, &mut dense_ws)
+            .unwrap();
+        assert_eq!(fast, bits_of(dense.tensor()));
+        assert_eq!(
+            ws.take_delta_walk().recomputed,
+            2,
+            "ReLU and the dense head"
+        );
     }
 }

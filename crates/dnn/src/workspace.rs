@@ -21,10 +21,11 @@ use std::collections::BTreeMap;
 use crate::macspec::{KernelScratch, MacTier};
 use crate::tensor::Tensor;
 
-/// The part of one node's output the delta resume path has modified
-/// relative to the golden trace: either the whole tensor, or — for rank-4
+/// The part of one node's output in which the delta resume path's value may
+/// differ from the golden trace: either the whole tensor, or — for rank-4
 /// NCHW outputs — every batch and channel of the spatial window
-/// `rows [h0, h1) × cols [w0, w1)`.
+/// `rows [h0, h1) × cols [w0, w1)`. Every element outside the region holds
+/// its golden bits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Region {
     /// The entire output may differ.
@@ -36,6 +37,18 @@ pub enum Region {
         /// `[w0, w1)` output columns.
         w: (usize, usize),
     },
+}
+
+/// Cone-work counters of the delta walks run on one workspace (see
+/// [`crate::graph::Engine::resume_delta`]). Pure telemetry: read and reset
+/// with [`Workspace::take_delta_walk`]; nothing feeds back into results.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DeltaWalk {
+    /// Downstream nodes recomputed, windowed or whole.
+    pub recomputed: usize,
+    /// Recomputed nodes whose output came back bit-identical to golden, so
+    /// the cone ended there.
+    pub reconverged: usize,
 }
 
 /// A per-worker private copy of one golden trace's node outputs, patched in
@@ -80,6 +93,8 @@ pub struct Workspace {
     /// workspace because [`crate::layers::Layer::forward`] receives no other
     /// per-worker configuration channel.
     mac_tier: MacTier,
+    /// Cone-work counters accumulated by delta walks since the last take.
+    pub(crate) delta_walk: DeltaWalk,
     hits: u64,
     misses: u64,
 }
@@ -270,6 +285,12 @@ impl Workspace {
         for t in old.slots {
             self.recycle(t);
         }
+    }
+
+    /// Returns the cone-work counters accumulated since the last call and
+    /// resets them.
+    pub fn take_delta_walk(&mut self) -> DeltaWalk {
+        std::mem::take(&mut self.delta_walk)
     }
 
     /// Buffer requests served from the pool.

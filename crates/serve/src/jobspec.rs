@@ -61,7 +61,8 @@ pub struct JobSpec {
     /// Job-level retries after a failed attempt (each resumes from the
     /// job's checkpoint, backing off exponentially).
     pub retries: usize,
-    /// Batched fault-cone evaluation cadence (`0` = off). Policy, not
+    /// Batched fault-cone evaluation cadence (defaults to
+    /// `CampaignSpec::default().batch`; `0` = the dense oracle). Policy, not
     /// identity: the batched and dense paths produce bit-identical results,
     /// so two submissions differing only here share one execution.
     pub batch: usize,
@@ -95,7 +96,7 @@ impl Default for JobSpec {
             priority: 0,
             deadline_ms: None,
             retries: 2,
-            batch: 0,
+            batch: CampaignSpec::default().batch,
             mac_tier: MacTier::Bitwise,
             epsilon: None,
             confidence: None,
@@ -531,8 +532,13 @@ mod tests {
         policy.deadline_ms = Some(1);
         policy.retries = 0;
         policy.threads = 8;
-        policy.batch = 64; // batched evaluation is bit-identical → policy
         assert_eq!(a.fingerprint(), policy.fingerprint());
+        // Batched evaluation is bit-identical → policy, whether dense or not.
+        for batch in [0, 1, 64, 65] {
+            let mut batched = a.clone();
+            batched.batch = batch;
+            assert_eq!(a.fingerprint(), batched.fingerprint());
+        }
         let mut fast = a.clone();
         fast.mac_tier = MacTier::Fast; // may change bits → identity
         assert_ne!(a.fingerprint(), fast.fingerprint());

@@ -47,6 +47,20 @@ use fidelity::workloads::{
     classification_suite, lstm_workload, transformer_workload, yolo_workload, Workload,
 };
 
+/// Why a command failed. An argument error reprints the usage text; a
+/// runtime failure (a failed campaign, a rejected certificate, an I/O error)
+/// prints only its named error.
+enum CliError {
+    Usage(String),
+    Failed(String),
+}
+
+impl From<String> for CliError {
+    fn from(e: String) -> Self {
+        CliError::Failed(e)
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
@@ -65,7 +79,7 @@ fn main() -> ExitCode {
     let telemetry = !matches!(command.as_str(), "report" | "help" | "--help" | "-h");
     if telemetry {
         if let Err(e) = setup_telemetry(&opts) {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     }
@@ -84,19 +98,23 @@ fn main() -> ExitCode {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`")),
+        other => Err(CliError::Usage(format!("unknown command `{other}`"))),
     };
     // Flush the trace sink (and print metrics) even when the command failed,
     // so abort events reach the trace file.
     let result = if telemetry {
-        result.and(finish_telemetry(&opts))
+        result.and(finish_telemetry(&opts).map_err(CliError::from))
     } else {
         result
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(CliError::Usage(e)) => {
             eprintln!("error: {e}\n\n{USAGE}");
+            ExitCode::FAILURE
+        }
+        Err(CliError::Failed(e)) => {
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
@@ -142,9 +160,11 @@ adaptive sampling (analyze):
 
 performance (analyze | protect):
   --batch N         batched fault-cone evaluation: keep a golden snapshot
-                    per worker and evaluate injections as sparse deltas,
-                    re-ensured every N samples (default 0 = off); results
-                    are bit-identical either way
+                    per worker and evaluate injections as sparse deltas
+                    over value-exact cones, re-ensured every N samples
+                    (default 64; 0 = the dense oracle, which re-runs
+                    every downstream node); results are bit-identical
+                    either way
   --mac-tier TIER   MAC kernel tier: `bitwise` (default, byte-identical to
                     the scalar oracle) or `fast` (tree-reduced Dense/MatMul;
                     measured worst-case divergence is reported)
@@ -213,19 +233,19 @@ fn get<T: std::str::FromStr>(
     opts: &HashMap<String, String>,
     key: &str,
     default: T,
-) -> Result<T, String> {
+) -> Result<T, CliError> {
     match opts.get(key) {
         None => Ok(default),
         Some(v) => v
             .parse()
-            .map_err(|_| format!("--{key}: cannot parse `{v}`")),
+            .map_err(|_| CliError::Usage(format!("--{key}: cannot parse `{v}`"))),
     }
 }
 
-fn workload(opts: &HashMap<String, String>, seed: u64) -> Result<Workload, String> {
+fn workload(opts: &HashMap<String, String>, seed: u64) -> Result<Workload, CliError> {
     let name = opts
         .get("network")
-        .ok_or_else(|| "--network is required".to_owned())?;
+        .ok_or_else(|| CliError::Usage("--network is required".to_owned()))?;
     Ok(match name.as_str() {
         "inception" => classification_suite(seed).remove(0),
         "resnet" => classification_suite(seed).remove(1),
@@ -233,17 +253,17 @@ fn workload(opts: &HashMap<String, String>, seed: u64) -> Result<Workload, Strin
         "yolo" => yolo_workload(seed),
         "transformer" => transformer_workload(seed),
         "lstm" => lstm_workload(seed),
-        other => return Err(format!("unknown network `{other}`")),
+        other => return Err(CliError::Usage(format!("unknown network `{other}`"))),
     })
 }
 
-fn precision(opts: &HashMap<String, String>) -> Result<Precision, String> {
+fn precision(opts: &HashMap<String, String>) -> Result<Precision, CliError> {
     Ok(match opts.get("precision").map(String::as_str) {
         None | Some("fp16") => Precision::Fp16,
         Some("fp32") => Precision::Fp32,
         Some("int16") => Precision::Int16,
         Some("int8") => Precision::Int8,
-        Some(other) => return Err(format!("unknown precision `{other}`")),
+        Some(other) => return Err(CliError::Usage(format!("unknown precision `{other}`"))),
     })
 }
 
@@ -255,14 +275,15 @@ fn metric_for(w: &Workload) -> Box<dyn CorrectnessMetric> {
     }
 }
 
-fn cmd_rfa(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_rfa(opts: &HashMap<String, String>) -> Result<(), CliError> {
     if let Some(spec) = opts.get("eyeriss") {
+        let usage = |m: &str| CliError::Usage(m.to_owned());
         let (k, t) = spec
             .split_once(',')
-            .ok_or_else(|| "--eyeriss expects K,T".to_owned())?;
+            .ok_or_else(|| usage("--eyeriss expects K,T"))?;
         let df = EyerissDataflow {
-            k: k.trim().parse().map_err(|_| "bad K".to_owned())?,
-            channel_reuse: t.trim().parse().map_err(|_| "bad T".to_owned())?,
+            k: k.trim().parse().map_err(|_| usage("bad K"))?,
+            channel_reuse: t.trim().parse().map_err(|_| usage("bad T"))?,
         };
         for inputs in [
             df.example_b1(),
@@ -301,7 +322,7 @@ fn deploy(
         fidelity::dnn::graph::Trace,
         Box<dyn CorrectnessMetric>,
     ),
-    String,
+    CliError,
 > {
     let w = workload(opts, seed)?;
     let metric = metric_for(&w);
@@ -312,7 +333,7 @@ fn deploy(
     if let Some(slack) = opts.get("bounding") {
         let slack: f32 = slack
             .parse()
-            .map_err(|_| "--bounding: bad slack".to_owned())?;
+            .map_err(|_| CliError::Usage("--bounding: bad slack".to_owned()))?;
         engine
             .enable_range_bounding(&inputs, slack)
             .map_err(|e| e.to_string())?;
@@ -321,7 +342,8 @@ fn deploy(
     Ok((engine, trace, metric))
 }
 
-fn spec_from(opts: &HashMap<String, String>) -> Result<CampaignSpec, String> {
+fn spec_from(opts: &HashMap<String, String>) -> Result<CampaignSpec, CliError> {
+    let usage = CliError::Usage;
     let mut spec = CampaignSpec {
         samples_per_cell: get(opts, "samples", 200usize)?,
         seed: get(opts, "seed", 0xF1DEu64)?,
@@ -333,27 +355,28 @@ fn spec_from(opts: &HashMap<String, String>) -> Result<CampaignSpec, String> {
     if let Some(jobs) = opts.get("jobs") {
         let jobs: usize = jobs
             .parse()
-            .map_err(|_| format!("--jobs: cannot parse `{jobs}`"))?;
+            .map_err(|_| usage(format!("--jobs: cannot parse `{jobs}`")))?;
         if jobs == 0 {
-            return Err("--jobs must be at least 1".to_owned());
+            return Err(usage("--jobs must be at least 1".to_owned()));
         }
         spec.threads = jobs;
     }
     if opts.contains_key("progress") {
         spec.progress = Some(fidelity::obs::progress::ProgressSpec::default());
     }
-    // `--batch N` turns on batched fault-cone evaluation: workers keep a
-    // shared golden snapshot and evaluate injections as sparse deltas,
-    // re-ensuring the snapshot every N samples. Results are bit-identical
-    // with or without it; the flag only trades memory for speed.
+    // `--batch N` sets the batched fault-cone evaluation cadence (default
+    // 64): workers keep a shared golden snapshot and evaluate injections as
+    // sparse deltas over value-exact cones, re-ensuring the snapshot every N
+    // samples. `--batch 0` is the dense oracle. Results are bit-identical
+    // either way; the flag only trades memory for speed.
     if let Some(batch) = opts.get("batch") {
         spec.batch = batch
             .parse()
-            .map_err(|_| format!("--batch: cannot parse `{batch}`"))?;
+            .map_err(|_| usage(format!("--batch: cannot parse `{batch}`")))?;
     }
     if let Some(tier) = opts.get("mac-tier") {
         spec.mac_tier = fidelity::dnn::macspec::MacTier::parse(tier)
-            .ok_or_else(|| format!("--mac-tier: `{tier}` is not bitwise|fast"))?;
+            .ok_or_else(|| usage(format!("--mac-tier: `{tier}` is not bitwise|fast")))?;
     }
     // `--adaptive` switches the campaign to confidence-driven wave sampling:
     // per-stratum Wilson intervals terminate sampling once the total FIT
@@ -363,7 +386,7 @@ fn spec_from(opts: &HashMap<String, String>) -> Result<CampaignSpec, String> {
         let mut plan = AdaptivePlan::new(get(opts, "epsilon", 0.005f64)?);
         plan.confidence = get(opts, "confidence", plan.confidence)?;
         plan.max_injections = get(opts, "max-injections", plan.max_injections)?;
-        plan.validated_z().map_err(|e| e.to_string())?;
+        plan.validated_z().map_err(|e| usage(e.to_string()))?;
         spec.adaptive = Some(plan);
     }
     match (opts.get("checkpoint"), opts.contains_key("resume")) {
@@ -374,13 +397,13 @@ fn spec_from(opts: &HashMap<String, String>) -> Result<CampaignSpec, String> {
                 CheckpointSpec::new(path)
             });
         }
-        (None, true) => return Err("--resume requires --checkpoint PATH".to_owned()),
+        (None, true) => return Err(usage("--resume requires --checkpoint PATH".to_owned())),
         (None, false) => {}
     }
     Ok(spec)
 }
 
-fn cmd_analyze(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_analyze(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let seed = get(opts, "seed", 42u64)?;
     let (engine, trace, metric) = deploy(opts, seed)?;
     let accel = fidelity::accel::presets::nvdla_like();
@@ -432,7 +455,7 @@ fn cmd_analyze(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_validate(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_validate(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let seed = get(opts, "seed", 42u64)?;
     let (engine, trace, _) = deploy(opts, seed)?;
     let node = match opts.get("layer") {
@@ -467,11 +490,11 @@ fn cmd_validate(opts: &HashMap<String, String>) -> Result<(), String> {
         println!("NO MISMATCHES — models validated");
         Ok(())
     } else {
-        Err(format!("{} mismatches", report.mismatches.len()))
+        Err(format!("{} mismatches", report.mismatches.len()).into())
     }
 }
 
-fn cmd_report(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_report(opts: &HashMap<String, String>) -> Result<(), CliError> {
     // `--cert PATH` renders an adaptive campaign's confidence certificate
     // (per-stratum convergence table) from its checkpoint, re-verifying the
     // stored bounds in the process.
@@ -483,7 +506,7 @@ fn cmd_report(opts: &HashMap<String, String>) -> Result<(), String> {
     }
     let path = opts
         .get("trace")
-        .ok_or_else(|| "report requires --trace FILE or --cert FILE".to_owned())?;
+        .ok_or_else(|| CliError::Usage("report requires --trace FILE or --cert FILE".to_owned()))?;
     let summary = fidelity::obs::report::summarize_file(std::path::Path::new(path))
         .map_err(|e| format!("{path}: {e}"))?;
     println!("{summary}");
@@ -494,7 +517,7 @@ fn cmd_report(opts: &HashMap<String, String>) -> Result<(), String> {
 /// `--smoke`, boots on an ephemeral port, exercises the full API against
 /// itself (submit, poll, stream, shutdown), and exits — the CI gate for the
 /// service layer.
-fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let default_threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let smoke = opts.contains_key("smoke");
     let state_dir = match opts.get("state") {
@@ -515,7 +538,7 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     // daemon always arms timing instrumentation.
     fidelity::obs::set_timing(true);
     if smoke {
-        return serve_smoke(cfg);
+        return Ok(serve_smoke(cfg)?);
     }
     let addr = opts
         .get("addr")
@@ -538,17 +561,17 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
 
 /// `fidelity top`: live terminal dashboard over a running daemon. With
 /// `--once`, prints one frame and exits (scriptable / CI smoke).
-fn cmd_top(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_top(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let addr = opts
         .get("addr")
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:7350".to_owned());
     let interval_ms: u64 = get(opts, "interval-ms", 1000)?;
-    fidelity::serve::top::run(
+    Ok(fidelity::serve::top::run(
         &addr,
         opts.contains_key("once"),
         std::time::Duration::from_millis(interval_ms.max(100)),
-    )
+    )?)
 }
 
 /// One full self-exercise of the running service, used by `--smoke` and CI:
@@ -681,7 +704,7 @@ fn serve_smoke(cfg: fidelity::serve::ServeConfig) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_statcheck(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_statcheck(opts: &HashMap<String, String>) -> Result<(), CliError> {
     // `--cert PATH` re-verifies an adaptive campaign's confidence
     // certificate offline: every CI and FIT bound is recomputed from the
     // checkpoint's raw tallies and compared bit-for-bit against the stored
@@ -712,7 +735,7 @@ fn cmd_statcheck(opts: &HashMap<String, String>) -> Result<(), String> {
             let cfg = fidelity::accel::presets::all()
                 .into_iter()
                 .find(|c| c.name == *name)
-                .ok_or_else(|| format!("unknown preset `{name}`"))?;
+                .ok_or_else(|| CliError::Usage(format!("unknown preset `{name}`")))?;
             fidelity::statcheck::verifier::verify_preset(&cfg)
         }
         None => fidelity::statcheck::verifier::verify_all(),
@@ -721,14 +744,11 @@ fn cmd_statcheck(opts: &HashMap<String, String>) -> Result<(), String> {
     if report.is_clean() {
         Ok(())
     } else {
-        Err(format!(
-            "statcheck failed: {} error(s)",
-            report.error_count()
-        ))
+        Err(format!("statcheck failed: {} error(s)", report.error_count()).into())
     }
 }
 
-fn cmd_lint(args: &[String], _opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_lint(args: &[String], _opts: &HashMap<String, String>) -> Result<(), CliError> {
     // `--root` may repeat, which the flag map cannot express; read it from
     // the raw argument list instead.
     let mut roots: Vec<std::path::PathBuf> = args
@@ -750,10 +770,10 @@ fn cmd_lint(args: &[String], _opts: &HashMap<String, String>) -> Result<(), Stri
         .map(std::path::PathBuf::from)
         .collect();
         if !roots.iter().all(|r| r.is_dir()) {
-            return Err(
+            return Err(CliError::Usage(
                 "default lint roots not found; run from the workspace root or pass --root PATH"
                     .to_owned(),
-            );
+            ));
         }
     }
     let config = fidelity::statcheck::lint::LintConfig::default();
@@ -767,11 +787,11 @@ fn cmd_lint(args: &[String], _opts: &HashMap<String, String>) -> Result<(), Stri
         println!("determinism lint: clean");
         Ok(())
     } else {
-        Err(format!("determinism lint: {} finding(s)", findings.len()))
+        Err(format!("determinism lint: {} finding(s)", findings.len()).into())
     }
 }
 
-fn cmd_concheck(args: &[String], _opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_concheck(args: &[String], _opts: &HashMap<String, String>) -> Result<(), CliError> {
     // Same `--root` handling as `lint`: the flag may repeat.
     let mut roots: Vec<std::path::PathBuf> = args
         .iter()
@@ -792,10 +812,10 @@ fn cmd_concheck(args: &[String], _opts: &HashMap<String, String>) -> Result<(), 
         .map(std::path::PathBuf::from)
         .collect();
         if !roots.iter().all(|r| r.is_dir()) {
-            return Err(
+            return Err(CliError::Usage(
                 "default concheck roots not found; run from the workspace root or pass --root PATH"
                     .to_owned(),
-            );
+            ));
         }
     }
     let config = fidelity::statcheck::concheck::ConcheckConfig::default();
@@ -818,14 +838,11 @@ fn cmd_concheck(args: &[String], _opts: &HashMap<String, String>) -> Result<(), 
         println!("concurrency check: clean");
         Ok(())
     } else {
-        Err(format!(
-            "concurrency check: {} finding(s)",
-            report.findings.len()
-        ))
+        Err(format!("concurrency check: {} finding(s)", report.findings.len()).into())
     }
 }
 
-fn cmd_protect(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_protect(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let seed = get(opts, "seed", 42u64)?;
     let (engine, trace, metric) = deploy(opts, seed)?;
     let accel = fidelity::accel::presets::nvdla_like();

@@ -3,9 +3,9 @@
 //! batched run (golden snapshot amortized across samples, injections
 //! evaluated as deltas over the downstream cone) must be observably
 //! indistinguishable from the unbatched serial run — per-cell outcomes,
-//! masking-probability bits, and checkpoint bytes — at every batch size and
-//! worker count, including under injected cell panics and after a
-//! mid-campaign kill/resume.
+//! masking-probability bits, and checkpoint bytes — at every batch size,
+//! worker count and MAC tier, including under injected cell panics and after
+//! a mid-campaign kill/resume.
 //!
 //! This is the "policy, not identity" contract of `CampaignSpec::batch`:
 //! batching may only change how fast an answer arrives, never which answer.
@@ -28,10 +28,15 @@ use fidelity::dnn::layers::{
 use fidelity::dnn::precision::Precision;
 use proptest::prelude::*;
 
-/// Batch sizes every property is checked against. 1 re-ensures the golden
-/// snapshot before every sample, 7 straddles the retry cadence, 64 exceeds
-/// every sample count drawn below (install once, never re-check).
-const BATCHES: [usize; 3] = [1, 7, 64];
+/// Batch sizes every property is checked against. 0 is the dense oracle
+/// itself (rerun on several workers), 1 re-ensures the golden snapshot
+/// before every sample, 7 straddles the retry cadence, 64 exceeds every
+/// sample count drawn below (install once, never re-check).
+const BATCHES: [usize; 4] = [0, 1, 7, 64];
+
+/// MAC tiers every property is checked under; each tier is diffed against
+/// its own dense serial oracle.
+const TIERS: [MacTier; 2] = [MacTier::Bitwise, MacTier::Fast];
 
 /// Worker counts every batched variant runs at.
 const JOBS: [usize; 2] = [1, 4];
@@ -245,21 +250,27 @@ proptest! {
     ) {
         let (engine, trace) = engine_for(net_kind, weight_seed);
         let cfg = preset(preset_idx);
-        let spec = base_spec(seed, samples, record_events);
-        let (serial_key, serial_bytes) =
-            run_variant(&engine, &trace, &cfg, &spec, 0, 1, "clean");
-        for &batch in &BATCHES {
-            for &jobs in &JOBS {
-                let (key, bytes) =
-                    run_variant(&engine, &trace, &cfg, &spec, batch, jobs, "clean");
-                prop_assert_eq!(
-                    &key, &serial_key,
-                    "results diverge at batch={} jobs={}", batch, jobs
-                );
-                prop_assert_eq!(
-                    &bytes, &serial_bytes,
-                    "checkpoint bytes diverge at batch={} jobs={}", batch, jobs
-                );
+        for tier in TIERS {
+            let mut spec = base_spec(seed, samples, record_events);
+            spec.mac_tier = tier;
+            let (serial_key, serial_bytes) =
+                run_variant(&engine, &trace, &cfg, &spec, 0, 1, "clean");
+            for &batch in &BATCHES {
+                for &jobs in &JOBS {
+                    if (batch, jobs) == (0, 1) {
+                        continue; // the oracle itself
+                    }
+                    let (key, bytes) =
+                        run_variant(&engine, &trace, &cfg, &spec, batch, jobs, "clean");
+                    prop_assert_eq!(
+                        &key, &serial_key,
+                        "results diverge at batch={} jobs={} tier={:?}", batch, jobs, tier
+                    );
+                    prop_assert_eq!(
+                        &bytes, &serial_bytes,
+                        "checkpoint bytes diverge at batch={} jobs={} tier={:?}", batch, jobs, tier
+                    );
+                }
             }
         }
     }
@@ -277,32 +288,38 @@ proptest! {
     ) {
         let (engine, trace) = engine_for(net_kind, 7);
         let cfg = presets::nvdla_like();
-        let mut spec = base_spec(seed, samples, true);
-        spec.resilience.chaos = victims(&engine, &trace, &cfg, &spec)
-            .into_iter()
-            .map(|(node, category)| ChaosSpec {
-                node,
-                category,
-                mode: ChaosMode::PanicAtSample(panic_at),
-            })
-            .collect();
-        spec.resilience.max_retries_per_cell = 1;
-        spec.resilience.failure_budget = 4;
-        let (serial_key, serial_bytes) =
-            run_variant(&engine, &trace, &cfg, &spec, 0, 1, "chaos");
-        prop_assert_eq!(serial_key.iter().filter(|k| k.starts_with("FAIL")).count(), 2);
-        for &batch in &BATCHES {
-            for &jobs in &JOBS {
-                let (key, bytes) =
-                    run_variant(&engine, &trace, &cfg, &spec, batch, jobs, "chaos");
-                prop_assert_eq!(
-                    &key, &serial_key,
-                    "results diverge at batch={} jobs={}", batch, jobs
-                );
-                prop_assert_eq!(
-                    &bytes, &serial_bytes,
-                    "checkpoint bytes diverge at batch={} jobs={}", batch, jobs
-                );
+        for tier in TIERS {
+            let mut spec = base_spec(seed, samples, true);
+            spec.mac_tier = tier;
+            spec.resilience.chaos = victims(&engine, &trace, &cfg, &spec)
+                .into_iter()
+                .map(|(node, category)| ChaosSpec {
+                    node,
+                    category,
+                    mode: ChaosMode::PanicAtSample(panic_at),
+                })
+                .collect();
+            spec.resilience.max_retries_per_cell = 1;
+            spec.resilience.failure_budget = 4;
+            let (serial_key, serial_bytes) =
+                run_variant(&engine, &trace, &cfg, &spec, 0, 1, "chaos");
+            prop_assert_eq!(serial_key.iter().filter(|k| k.starts_with("FAIL")).count(), 2);
+            for &batch in &BATCHES {
+                for &jobs in &JOBS {
+                    if (batch, jobs) == (0, 1) {
+                        continue; // the oracle itself
+                    }
+                    let (key, bytes) =
+                        run_variant(&engine, &trace, &cfg, &spec, batch, jobs, "chaos");
+                    prop_assert_eq!(
+                        &key, &serial_key,
+                        "results diverge at batch={} jobs={} tier={:?}", batch, jobs, tier
+                    );
+                    prop_assert_eq!(
+                        &bytes, &serial_bytes,
+                        "checkpoint bytes diverge at batch={} jobs={} tier={:?}", batch, jobs, tier
+                    );
+                }
             }
         }
     }
@@ -319,10 +336,12 @@ proptest! {
         kill_batch in prop_oneof![Just(1usize), Just(7usize), Just(64usize)],
         resume_batch in prop_oneof![Just(0usize), Just(7usize), Just(64usize)],
         resume_jobs in prop_oneof![Just(1usize), Just(4usize)],
+        tier in prop_oneof![Just(TIERS[0]), Just(TIERS[1])],
     ) {
         let (engine, trace) = conv_engine(11);
         let cfg = presets::nvdla_like();
-        let clean = base_spec(seed, samples, true);
+        let mut clean = base_spec(seed, samples, true);
+        clean.mac_tier = tier;
         let (reference_key, reference_bytes) =
             run_variant(&engine, &trace, &cfg, &clean, 0, 1, "ref");
 
@@ -364,13 +383,14 @@ proptest! {
         prop_assert_eq!(
             result_key(&result),
             reference_key,
-            "resume diverges at batch={} jobs={}", resume_batch, resume_jobs
+            "resume diverges at batch={} jobs={} tier={:?}", resume_batch, resume_jobs, tier
         );
         let final_bytes = std::fs::read(&resume_ckpt.0).unwrap();
         prop_assert_eq!(
             &final_bytes,
             &reference_bytes,
-            "resumed checkpoint bytes diverge at batch={} jobs={}", resume_batch, resume_jobs
+            "resumed checkpoint bytes diverge at batch={} jobs={} tier={:?}",
+            resume_batch, resume_jobs, tier
         );
     }
 }

@@ -145,3 +145,20 @@ fn validate_small_run_passes() {
     assert!(ok, "{stdout}");
     assert!(stdout.contains("NO MISMATCHES"), "{stdout}");
 }
+
+#[test]
+fn runtime_failure_prints_named_error_without_usage() {
+    let dir = std::env::temp_dir().join(format!("fidelity-cli-cert-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let cert = dir.join("bogus.ackpt");
+    std::fs::write(&cert, "fidelity-ackpt v1\nnot a certificate\n").expect("write cert");
+    let out = Command::new(env!("CARGO_BIN_EXE_fidelity"))
+        .args(["statcheck", "--cert", cert.to_str().expect("utf-8")])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: "), "{stderr}");
+    assert!(!stderr.contains("usage:"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
