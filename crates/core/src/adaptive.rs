@@ -154,38 +154,6 @@ impl StratumMeta {
     }
 }
 
-/// The running tally of one stratum, including its RNG stream position.
-#[derive(Debug, Clone)]
-pub(crate) struct StratumTally {
-    /// Injections run.
-    pub samples: usize,
-    /// Masked outcomes.
-    pub masked: usize,
-    /// Application output errors.
-    pub output_error: usize,
-    /// System anomalies.
-    pub anomaly: usize,
-    /// SplitMix64 state the stream continues from.
-    pub rng_state: u64,
-    /// A frozen stratum exhausted its retries; it keeps its last committed
-    /// tally and receives no further allocation.
-    pub frozen: bool,
-}
-
-impl StratumTally {
-    /// A fresh tally at the start of the stratum's derived RNG stream.
-    pub fn fresh(rng_state: u64) -> Self {
-        StratumTally {
-            samples: 0,
-            masked: 0,
-            output_error: 0,
-            anomaly: 0,
-            rng_state,
-            frozen: false,
-        }
-    }
-}
-
 /// Eq.-2 identity weights `C_h` for every plan cell, computed at the paper's
 /// raw FIT rate so they are independent of any caller-side scaling.
 ///

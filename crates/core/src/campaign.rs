@@ -1,26 +1,29 @@
 //! Statistical fault-injection campaigns (Fig. 3, step 2).
 //!
-//! A campaign runs a configured number of software injections for every
-//! (MAC layer × FF category) cell of a deployed network and tallies the
-//! outcome distribution, yielding the `Prob_SWmask(cat, r)` inputs of Eq. 2.
-//! Cells are independent, so they are sharded across the `fidelity-par`
-//! work-stealing pool ([`ParallelCampaignRunner`]); each cell derives its
-//! own RNG stream from `(campaign seed, cell id)`, never from shared state,
-//! making campaigns bit-reproducible regardless of worker count or steal
-//! order. Checkpoint records go through an ordered commit buffer, so the
-//! on-disk file is always the same deterministic prefix a serial run would
-//! have written.
+//! A campaign runs software injections for every (MAC layer × FF category)
+//! cell of a deployed network and tallies the outcome distribution, yielding
+//! the `Prob_SWmask(cat, r)` inputs of Eq. 2. Both sampling plans run on one
+//! engine: a *wave* is a list of `(cell, quota)` tasks sharded across the
+//! `fidelity-par` work-stealing pool (`spec.threads` workers). A fixed plan
+//! is a single wave of `samples_per_cell` for every cell; an adaptive plan
+//! ([`crate::adaptive`]) runs waves until its FIT bound resolves. Each cell
+//! derives its own RNG stream from `(campaign seed, cell id)`, never from
+//! shared state, making campaigns bit-reproducible regardless of worker
+//! count or steal order. Fixed-plan checkpoint records go through an ordered
+//! commit buffer, so the on-disk file is always the same deterministic
+//! prefix a serial run would have written; adaptive waves are folded and
+//! written at the wave barrier.
 //!
 //! Long campaigns run under the fault-tolerance policy of
-//! [`crate::resilience`]: cells execute inside a panic boundary with bounded
-//! retries, each injection can carry a wall-clock watchdog, and completed
-//! cells can be checkpointed to disk so an interrupted campaign resumes
-//! exactly where it stopped ([`CampaignRunner::resume_from`]).
+//! [`crate::resilience`]: tasks execute inside a panic boundary with bounded
+//! retries, each injection can carry a wall-clock watchdog, and progress can
+//! be checkpointed to disk so an interrupted campaign resumes exactly where
+//! it stopped ([`CampaignRunner::resume_from`]).
 
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::AssertUnwindSafe;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -34,7 +37,7 @@ use fidelity_dnn::DnnError;
 use fidelity_obs::event;
 use fidelity_obs::metrics::{Counter, Histogram};
 use fidelity_obs::progress::{CampaignProgress, CategoryKind, OutcomeKind, ProgressSpec};
-use fidelity_obs::trace::{self, Field, Value};
+use fidelity_obs::trace::{self, Field, SinkHandle, Value};
 use fidelity_obs::{clock, prof, timing_enabled};
 use fidelity_par::{CancelToken, PoolSpec, ShardPlan, WorkStealPool};
 
@@ -43,10 +46,9 @@ pub use fidelity_dnn::macspec::MacTier;
 use crate::adaptive::{
     allocate_even, allocate_neyman, build_certificate, parse_adaptive_checkpoint, stratum_terms,
     stratum_weights, write_adaptive_header, write_cert_footer, write_wave, AdaptivePlan,
-    CertFooter, ConfidenceCertificate, StratumMeta, StratumRow, StratumTally, WaveBlock, WaveFail,
-    WAVE_FLOOR, WAVE_MIN_BUDGET,
+    CertFooter, ConfidenceCertificate, StratumMeta, StratumRow, WaveBlock, WaveFail, WAVE_FLOOR,
+    WAVE_MIN_BUDGET,
 };
-use crate::inject::inject_once_pooled;
 use crate::models::{model_for, node_fast_divergence, SoftwareFaultModel};
 use crate::outcome::{CorrectnessMetric, Outcome};
 use crate::resilience::{
@@ -57,21 +59,16 @@ use crate::resilience::{
 /// Campaign configuration.
 #[derive(Debug, Clone)]
 pub struct CampaignSpec {
-    /// Injection samples per (layer × category) cell (the maximum, when
-    /// adaptive sampling is enabled).
+    /// Injection samples per (layer × category) cell of a fixed plan.
+    /// Ignored when `adaptive` is set.
     pub samples_per_cell: usize,
     /// Base RNG seed; campaigns are deterministic in (seed, spec).
     pub seed: u64,
-    /// Worker threads.
+    /// Worker threads. Results are bit-identical for any value.
     pub threads: usize,
     /// Whether to keep per-injection events (needed for the Key-Result-5
     /// perturbation analysis; costs memory).
     pub record_events: bool,
-    /// Adaptive sampling: stop a cell early once the 95% Wilson interval of
-    /// its masking probability is narrower than this half-width (the paper
-    /// sizes campaigns for a 95% confidence target). `None` always runs
-    /// `samples_per_cell`.
-    pub target_ci_halfwidth: Option<f64>,
     /// Fault-tolerance policy: panic isolation, watchdogs, checkpointing.
     pub resilience: ResilienceSpec,
     /// Live progress telemetry to stderr (`--progress`). `None` keeps the
@@ -102,7 +99,7 @@ pub struct CampaignSpec {
     /// sampling that terminates once the total Eq.-2 FIT uncertainty is
     /// below the plan's ±ε (see [`crate::adaptive`]); the plan's parameters
     /// are campaign identity and enter the checkpoint fingerprint. Mutually
-    /// exclusive with `record_events` and `target_ci_halfwidth`.
+    /// exclusive with `record_events`.
     pub adaptive: Option<AdaptivePlan>,
 }
 
@@ -113,7 +110,6 @@ impl Default for CampaignSpec {
             seed: 0xF1DE_117F,
             threads: std::thread::available_parallelism().map_or(4, std::num::NonZero::get),
             record_events: false,
-            target_ci_halfwidth: None,
             resilience: ResilienceSpec::default(),
             progress: None,
             batch: 64,
@@ -220,7 +216,7 @@ impl CampaignResult {
 ///
 /// Delegates to [`fidelity_obs::stats::wilson95`], the workspace's canonical
 /// implementation (the live progress line uses the same one, so displayed
-/// bounds always agree with adaptive-stopping decisions).
+/// bounds always agree with reported ones).
 pub fn wilson_interval(successes: usize, n: usize) -> (f64, f64) {
     fidelity_obs::stats::wilson95(successes, n)
 }
@@ -251,8 +247,33 @@ struct CellPlan {
     model: SoftwareFaultModel,
 }
 
-/// Applies a chaos directive to sample `i` of a cell, shared by the fixed
-/// and adaptive sampling loops.
+/// A cell's running tally and the RNG stream position it continues from.
+#[derive(Clone)]
+struct Tally {
+    stats: CellStats,
+    rng_state: u64,
+}
+
+/// How one wave task ended. A failed task carries the partial tally of its
+/// last attempt; the fixed plan keeps it, the adaptive plan discards it.
+enum TaskOutcome {
+    Done(Tally),
+    Failed {
+        partial: Tally,
+        attempts: usize,
+        reason: FailureReason,
+    },
+}
+
+/// What a plan hands back to [`CampaignRunner::execute`] for assembly.
+struct PlanOutput {
+    cells: Vec<CellStats>,
+    /// Failures keyed by plan index (any order).
+    failures: Vec<(usize, CellFailure)>,
+    certificate: Option<ConfidenceCertificate>,
+}
+
+/// Applies a chaos directive to sample `i` of a cell.
 fn apply_chaos(chaos: Option<&ChaosSpec>, i: usize, node: usize, category: FfCategory) {
     if let Some(c) = chaos {
         match c.mode {
@@ -267,20 +288,17 @@ fn apply_chaos(chaos: Option<&ChaosSpec>, i: usize, node: usize, category: FfCat
     }
 }
 
-/// The open checkpoint file behind an ordered commit buffer.
+/// The open fixed-plan checkpoint file behind an ordered commit buffer.
 ///
 /// Workers complete cells out of order, but the file must stay a
 /// deterministic prefix of what a serial run writes — otherwise the bytes
 /// (and any resumed campaign's view of them) would depend on scheduling.
 /// Completed cells therefore park in `pending` until every lower-indexed
 /// cell has been committed or skipped; the cursor then drains them to disk
-/// in plan order. Failed cells commit as a skip: the cursor advances without
-/// writing a record, so a resumed campaign retries them.
+/// in plan order and flushes. Failed cells commit as a skip: the cursor
+/// advances without writing a record, so a resumed campaign retries them.
 struct OrderedCommit {
     writer: BufWriter<File>,
-    /// Flush every N written records.
-    interval: usize,
-    unflushed: usize,
     /// Lowest plan index not yet committed or skipped.
     cursor: usize,
     /// Out-of-order completions waiting for the cursor. `None` marks a skip
@@ -289,18 +307,11 @@ struct OrderedCommit {
     pending: BTreeMap<usize, Option<CellStats>>,
 }
 
-/// What one [`OrderedCommit::commit`] call put on disk.
-struct CommitReceipt {
-    /// Plan indices whose records were written by this call, in order.
-    written: Vec<usize>,
-    /// Whether the flush interval elapsed and the file was flushed.
-    flushed: bool,
-}
-
 impl OrderedCommit {
-    /// Parks one completed (`Some`) or failed (`None`) cell and drains every
-    /// now-contiguous entry to disk in plan-index order.
-    fn commit(&mut self, idx: usize, entry: Option<CellStats>) -> Result<CommitReceipt, DnnError> {
+    /// Parks one completed (`Some`) or failed (`None`) cell, drains every
+    /// now-contiguous entry to disk in plan-index order, and flushes when
+    /// anything was written. Returns the plan indices written.
+    fn commit(&mut self, idx: usize, entry: Option<CellStats>) -> Result<Vec<usize>, DnnError> {
         let io_err = |e: std::io::Error| DnnError::Campaign {
             message: format!("checkpoint write failed: {e}"),
         };
@@ -310,17 +321,13 @@ impl OrderedCommit {
             if let Some(stats) = slot {
                 write_cell(&mut self.writer, self.cursor, &stats).map_err(io_err)?;
                 written.push(self.cursor);
-                self.unflushed += 1;
             }
             self.cursor += 1;
         }
-        let mut flushed = false;
-        if self.unflushed >= self.interval {
+        if !written.is_empty() {
             self.writer.flush().map_err(io_err)?;
-            self.unflushed = 0;
-            flushed = true;
         }
-        Ok(CommitReceipt { written, flushed })
+        Ok(written)
     }
 }
 
@@ -366,9 +373,165 @@ fn outcome_kind(outcome: Outcome) -> OutcomeKind {
     }
 }
 
+/// Per-campaign state every wave shares: lifecycle telemetry (traced to the
+/// global sink and mirrored to the job's sink, when a service attached
+/// one), metrics, the live progress line, the worker pool, and the stop
+/// flags. All telemetry is a no-op without a sink or `spec.progress`.
+struct Lifecycle {
+    net: String,
+    stopwatch: clock::Stopwatch,
+    metrics: CampaignMetrics,
+    progress: Option<CampaignProgress>,
+    /// Per-job trace outlet; the sink stamps its own identity fields
+    /// (trace id, job id, pid).
+    job_sink: Option<SinkHandle>,
+    pool: WorkStealPool,
+    cancel: Option<CancelToken>,
+    /// Set once by the first fatal error; workers stop taking tasks.
+    abort: AtomicBool,
+    errors: Mutex<Vec<DnnError>>,
+}
+
+impl Lifecycle {
+    /// Readies telemetry and the pool for a campaign of `cells` cells and
+    /// emits `campaign.start`.
+    fn start(runner: &CampaignRunner<'_>, cells: usize) -> Self {
+        let spec = &runner.spec;
+        let net = runner.engine.network().name().to_owned();
+        let workers = spec.threads.clamp(1, cells.max(1));
+        // The progress line sizes its ETA from a per-cell budget: the fixed
+        // quota, or an adaptive plan's cap split evenly.
+        let per_cell = spec
+            .adaptive
+            .as_ref()
+            .map_or(spec.samples_per_cell, |a| a.max_injections / cells.max(1));
+        let life = Lifecycle {
+            progress: spec.progress.as_ref().map(|p| {
+                CampaignProgress::new(
+                    net.clone(),
+                    p,
+                    cells,
+                    per_cell,
+                    spec.resilience.failure_budget,
+                )
+            }),
+            job_sink: spec.progress.as_ref().and_then(|p| p.sink.clone()),
+            pool: WorkStealPool::new(PoolSpec {
+                workers,
+                seed: spec.seed,
+                plan: ShardPlan::Balanced,
+                cancel: spec.resilience.cancel.clone(),
+            }),
+            cancel: spec.resilience.cancel.clone(),
+            stopwatch: clock::Stopwatch::start_if(timing_enabled()),
+            metrics: CampaignMetrics::handles(),
+            abort: AtomicBool::new(false),
+            errors: Mutex::new(Vec::new()),
+            net,
+        };
+        let mut fields = vec![
+            ("net", Value::Str(&life.net)),
+            ("cells", Value::U64(cells as u64)),
+            ("seed", Value::U64(spec.seed)),
+            ("threads", Value::U64(workers as u64)),
+        ];
+        match &spec.adaptive {
+            None => fields.push(("samples_per_cell", Value::U64(spec.samples_per_cell as u64))),
+            Some(a) => {
+                fields.push(("adaptive", Value::Bool(true)));
+                fields.push(("epsilon", Value::F64(a.epsilon)));
+            }
+        }
+        life.emit("campaign.start", &fields);
+        life
+    }
+
+    /// Emits a lifecycle event to the global sink and the job's sink.
+    fn emit(&self, name: &str, fields: &[Field<'_>]) {
+        fidelity_obs::emit_event(name, fields);
+        self.mirror(name, fields);
+    }
+
+    /// Records an event on the job's sink only.
+    fn mirror(&self, name: &str, fields: &[Field<'_>]) {
+        if let Some(h) = &self.job_sink {
+            trace::record_now(h.sink(), name, fields);
+        }
+    }
+
+    fn cancelled(&self) -> bool {
+        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
+    }
+
+    /// Whether workers should stop taking tasks: cancelled, or aborted by a
+    /// fatal error. The Acquire load pairs with the Release store in
+    /// [`Lifecycle::fatal`]; the error itself is read under the `errors`
+    /// lock, so the flag only lets workers exit early.
+    fn stopped(&self) -> bool {
+        self.abort.load(Ordering::Acquire) || self.cancelled()
+    }
+
+    /// Records a fatal error and stops the campaign.
+    fn fatal(&self, e: DnnError) {
+        lock(&self.errors).push(e);
+        self.abort.store(true, Ordering::Release);
+    }
+
+    /// Reports a cell (or stratum) that exhausted its retries; `samples` is
+    /// the tally it keeps.
+    fn cell_failed(
+        &self,
+        plan: &CellPlan,
+        attempts: usize,
+        samples: usize,
+        reason: &FailureReason,
+    ) {
+        self.emit(
+            "cell.failed",
+            &[
+                ("node", Value::U64(plan.node as u64)),
+                ("cat", Value::Str(&cat_code(plan.category))),
+                ("attempts", Value::U64(attempts as u64)),
+                ("samples", Value::U64(samples as u64)),
+                ("reason", Value::Str(reason_kind(reason))),
+            ],
+        );
+        if let Some(p) = &self.progress {
+            p.on_cell_failed();
+        }
+    }
+
+    /// Emits `campaign.finish` for a completed result.
+    fn finish(&self, result: &CampaignResult) {
+        let (masked, output_error, anomaly) = result.cells.iter().fold((0, 0, 0), |acc, c| {
+            (acc.0 + c.masked, acc.1 + c.output_error, acc.2 + c.anomaly)
+        });
+        let mut fields = vec![
+            ("net", Value::Str(&self.net)),
+            ("cells", Value::U64(result.cells.len() as u64)),
+            ("injections", Value::U64(result.total_samples() as u64)),
+            ("masked", Value::U64(masked as u64)),
+            ("output_error", Value::U64(output_error as u64)),
+            ("anomaly", Value::U64(anomaly as u64)),
+            ("failures", Value::U64(result.failures.len() as u64)),
+            (
+                "elapsed_us",
+                Value::U64(self.stopwatch.elapsed_us().unwrap_or(0)),
+            ),
+        ];
+        if let Some(c) = &result.certificate {
+            fields.push(("waves", Value::U64(c.waves as u64)));
+            fields.push(("converged", Value::Bool(c.converged)));
+        }
+        self.emit("campaign.finish", &fields);
+    }
+}
+
 /// A campaign bound to its engine, workload trace, accelerator, and spec —
 /// the stateful entry point when checkpoint/resume or failure reporting is
-/// needed ([`run_campaign`] remains the one-shot convenience).
+/// needed ([`run_campaign`] remains the one-shot convenience). It runs on
+/// `spec.threads` workers; results and checkpoint bytes are bit-identical
+/// for any worker count.
 pub struct CampaignRunner<'a> {
     engine: &'a Engine,
     trace: &'a Trace,
@@ -412,7 +575,7 @@ impl<'a> CampaignRunner<'a> {
     }
 
     /// Runs the campaign. When the spec's checkpoint has `resume` set and a
-    /// compatible checkpoint exists, completed cells are loaded from it.
+    /// compatible checkpoint exists, completed work is loaded from it.
     ///
     /// # Errors
     ///
@@ -427,16 +590,17 @@ impl<'a> CampaignRunner<'a> {
             .as_ref()
             .filter(|c| c.resume)
             .map(|c| c.path.clone());
-        self.execute(resume.as_deref(), self.spec.threads)
+        self.execute(resume.as_deref())
     }
 
-    /// Runs the campaign, first loading every completed cell from the
-    /// checkpoint at `path` (which must have been written by a campaign with
-    /// the same fingerprint: same network, seed, sampling plan). Cells are
-    /// deterministic in (seed, node, category), so the combined result is
-    /// bit-identical to an uninterrupted run. A missing file simply runs the
-    /// whole campaign; progress keeps being checkpointed to the spec's
-    /// configured path, or to `path` when none is configured.
+    /// Runs the campaign, first loading every completed cell (or committed
+    /// wave) from the checkpoint at `path`, which must have been written by
+    /// a campaign with the same fingerprint: same network, seed, sampling
+    /// plan. Cells are deterministic in (seed, node, category), so the
+    /// combined result is bit-identical to an uninterrupted run. A missing
+    /// file simply runs the whole campaign; progress keeps being
+    /// checkpointed to the spec's configured path, or to `path` when none
+    /// is configured.
     ///
     /// # Errors
     ///
@@ -444,7 +608,7 @@ impl<'a> CampaignRunner<'a> {
     /// checkpoint, and for an exhausted failure budget as in
     /// [`CampaignRunner::run`].
     pub fn resume_from(&self, path: &Path) -> Result<CampaignResult, DnnError> {
-        self.execute(Some(path), self.spec.threads)
+        self.execute(Some(path))
     }
 
     fn plans(&self) -> Vec<CellPlan> {
@@ -466,389 +630,217 @@ impl<'a> CampaignRunner<'a> {
         plans
     }
 
-    fn execute(&self, resume_path: Option<&Path>, jobs: usize) -> Result<CampaignResult, DnnError> {
-        if self.spec.adaptive.is_some() {
-            return self.execute_adaptive(resume_path, jobs);
-        }
+    /// Shared campaign frame: plan, fingerprint, lifecycle telemetry, the
+    /// plan-specific body, and result assembly.
+    fn execute(&self, resume_path: Option<&Path>) -> Result<CampaignResult, DnnError> {
         let spec = &self.spec;
         let plans = self.plans();
         let plan_ids: Vec<(usize, FfCategory)> =
             plans.iter().map(|p| (p.node, p.category)).collect();
         let fingerprint = campaign_fingerprint(spec, self.engine.network().name(), &plan_ids);
-
-        // Load previously completed cells, when resuming.
-        let mut loaded: Vec<Option<CellStats>> = (0..plans.len()).map(|_| None).collect();
-        if let Some(path) = resume_path {
-            if path.exists() {
+        // A missing resume file simply starts fresh.
+        let resume = match resume_path.filter(|p| p.exists()) {
+            Some(path) => {
                 let file = File::open(path).map_err(|e| DnnError::Campaign {
                     message: format!("cannot open checkpoint {}: {e}", path.display()),
                 })?;
-                let parsed = parse_checkpoint(BufReader::new(file))?;
-                if parsed.fingerprint != fingerprint {
-                    return Err(DnnError::Campaign {
-                        message: format!(
-                            "checkpoint {} belongs to a different campaign \
-                             (fingerprint {:016x}, expected {:016x})",
-                            path.display(),
-                            parsed.fingerprint,
-                            fingerprint
-                        ),
-                    });
-                }
-                for (idx, stats) in parsed.cells {
-                    let plan = plans.get(idx).ok_or_else(|| DnnError::Campaign {
-                        message: format!("checkpoint cell index {idx} out of range"),
-                    })?;
-                    if stats.node != plan.node || stats.category != plan.category {
-                        return Err(DnnError::Campaign {
-                            message: format!(
-                                "checkpoint cell {idx} does not match the plan \
-                                 (node {}, {})",
-                                plan.node, plan.category
-                            ),
-                        });
-                    }
-                    loaded[idx] = Some(stats);
-                }
+                Some((path, BufReader::new(file)))
             }
-        }
-
-        // Telemetry: the campaign lifecycle is traced, counted, and (when
-        // asked for) rendered live. All of it is a no-op without a sink or
-        // `spec.progress`.
-        let campaign_sw = clock::Stopwatch::start_if(timing_enabled());
-        let metrics = CampaignMetrics::handles();
-        let net = self.engine.network().name().to_owned();
-        let restored = loaded.iter().filter(|c| c.is_some()).count();
-        let workers = jobs.clamp(1, plans.len().max(1));
-        event!(
-            "campaign.start",
-            net = &net,
-            cells = plans.len(),
-            samples_per_cell = spec.samples_per_cell,
-            seed = spec.seed,
-            threads = workers,
-        );
-        let progress = spec.progress.as_ref().map(|p| {
-            CampaignProgress::new(
-                net.clone(),
-                p,
-                plans.len(),
-                spec.samples_per_cell,
-                spec.resilience.failure_budget,
-            )
-        });
-        // Per-job trace outlet: when a service attached a sink to the
-        // progress spec (the daemon's per-job trace file), lifecycle events
-        // are mirrored there in addition to the global trace sink. The sink
-        // stamps its own identity fields (trace id, job id, pid).
-        let job_sink = spec.progress.as_ref().and_then(|p| p.sink.clone());
-        let mirror = |name: &str, fields: &[Field<'_>]| {
-            if let Some(h) = &job_sink {
-                trace::record_now(h.sink(), name, fields);
-            }
+            None => None,
         };
-        mirror(
-            "campaign.start",
-            &[
-                ("net", Value::Str(&net)),
-                ("cells", Value::U64(plans.len() as u64)),
-                ("threads", Value::U64(workers as u64)),
-            ],
-        );
-        if restored > 0 {
-            // A resumed campaign announces where it picks up instead of
-            // silently restarting the display from zero.
-            event!(
-                "campaign.resume",
-                net = &net,
-                restored = restored,
-                remaining = plans.len() - restored,
-            );
-            if let Some(p) = &progress {
-                p.set_restored(restored);
-            }
-            mirror(
-                "campaign.resume",
-                &[
-                    ("restored", Value::U64(restored as u64)),
-                    ("remaining", Value::U64((plans.len() - restored) as u64)),
-                ],
-            );
-        }
-
-        // Open the checkpoint for writing: the configured path, else the
-        // explicit resume path. The file is rewritten from the loaded cells
-        // so a torn tail from the previous process does not linger.
+        // Progress is written to the configured checkpoint, else the
+        // explicit resume path. Either plan rewrites the file from what it
+        // loaded, so a torn tail from the previous process does not linger.
         let ckpt_path = spec
             .resilience
             .checkpoint
             .as_ref()
             .map(|c| c.path.as_path())
             .or(resume_path);
-        let interval = spec
-            .resilience
-            .checkpoint
-            .as_ref()
-            .map_or(1, |c| c.interval_cells.max(1));
-        let ckpt: Option<Mutex<OrderedCommit>> = match ckpt_path {
-            Some(path) => Some(Mutex::new(open_checkpoint(
-                path,
-                fingerprint,
-                interval,
-                &loaded,
-            )?)),
+        let life = Lifecycle::start(self, plans.len());
+        let output = match &spec.adaptive {
+            None => self.execute_fixed(&life, &plans, fingerprint, resume, ckpt_path),
+            Some(aplan) => {
+                self.execute_adaptive(&life, aplan, &plans, fingerprint, resume, ckpt_path)
+            }
+        };
+        // The progress line terminates even on the error path, so an aborted
+        // campaign does not leave a torn `\r` line on the terminal.
+        if let Some(p) = &life.progress {
+            p.finish();
+        }
+        let mut output = output.inspect_err(|e| {
+            life.emit("campaign.abort", &[("error", Value::Str(&e.to_string()))]);
+        })?;
+        // Failures arrive in completion order, which depends on scheduling;
+        // reporting them in plan order keeps the result (and anything
+        // diffing it) deterministic across worker counts.
+        output.failures.sort_by_key(|&(idx, _)| idx);
+        let result = CampaignResult {
+            cells: output.cells,
+            failures: output.failures.into_iter().map(|(_, f)| f).collect(),
+            fast_divergence: self.measure_fast_divergence(&plans, &life.net),
+            certificate: output.certificate,
+        };
+        life.finish(&result);
+        Ok(result)
+    }
+
+    /// The fixed plan: one wave of `samples_per_cell` for every cell not
+    /// restored from the checkpoint. Each finished cell commits through the
+    /// ordered buffer into `fidelity-ckpt v1`; a failed cell keeps its
+    /// partial tally and commits as a skip, so a resumed run retries it.
+    fn execute_fixed(
+        &self,
+        life: &Lifecycle,
+        plans: &[CellPlan],
+        fingerprint: u64,
+        resume: Option<(&Path, BufReader<File>)>,
+        ckpt_path: Option<&Path>,
+    ) -> Result<PlanOutput, DnnError> {
+        let spec = &self.spec;
+        let mut loaded: Vec<Option<CellStats>> = vec![None; plans.len()];
+        if let Some((path, reader)) = resume {
+            let parsed = parse_checkpoint(reader)?;
+            check_fingerprint(path, parsed.fingerprint, fingerprint)?;
+            for (idx, stats) in parsed.cells {
+                let plan = plans.get(idx).ok_or_else(|| DnnError::Campaign {
+                    message: format!("checkpoint cell index {idx} out of range"),
+                })?;
+                if stats.node != plan.node || stats.category != plan.category {
+                    return Err(DnnError::Campaign {
+                        message: format!(
+                            "checkpoint cell {idx} does not match the plan (node {}, {})",
+                            plan.node, plan.category
+                        ),
+                    });
+                }
+                loaded[idx] = Some(stats);
+            }
+        }
+        let restored = loaded.iter().flatten().count();
+        if restored > 0 {
+            // A resumed campaign announces where it picks up instead of
+            // silently restarting the display from zero.
+            life.emit(
+                "campaign.resume",
+                &[
+                    ("net", Value::Str(&life.net)),
+                    ("restored", Value::U64(restored as u64)),
+                    ("remaining", Value::U64((plans.len() - restored) as u64)),
+                ],
+            );
+            if let Some(p) = &life.progress {
+                p.set_restored(restored);
+            }
+        }
+        let ckpt = match ckpt_path {
+            Some(path) => Some(Mutex::new(open_checkpoint(path, fingerprint, &loaded)?)),
             None => None,
         };
-
-        let abort = AtomicBool::new(false);
+        let tasks: Vec<(usize, usize)> = (0..plans.len())
+            .filter(|&idx| loaded[idx].is_none())
+            .map(|idx| (idx, spec.samples_per_cell))
+            .collect();
+        let results = Mutex::new(loaded);
+        let failures = Mutex::new(Vec::new());
         let failure_count = AtomicUsize::new(0);
-        let results: Mutex<Vec<Option<CellStats>>> = Mutex::new(loaded);
-        let failures: Mutex<Vec<(usize, CellFailure)>> = Mutex::new(Vec::new());
-        let errors: Mutex<Vec<DnnError>> = Mutex::new(Vec::new());
-        let fatal = |e: DnnError| {
-            lock(&errors).push(e);
-            abort.store(true, Ordering::Relaxed);
-        };
         // Records a cell's verdict in the ordered commit buffer: `Some` is a
-        // completed cell to persist, `None` a failed (or restored) one the
-        // cursor must skip. Either way the cursor only moves in plan order,
-        // so the checkpoint bytes cannot depend on scheduling.
+        // completed cell to persist, `None` a failed one the cursor must
+        // skip. Either way the cursor only moves in plan order, so the
+        // checkpoint bytes cannot depend on scheduling.
         let commit = |idx: usize, entry: Option<CellStats>| {
             if let Some(state) = &ckpt {
                 match lock(state).commit(idx, entry) {
-                    Ok(receipt) => {
-                        for &widx in &receipt.written {
+                    Ok(written) => {
+                        for &widx in &written {
                             event!("checkpoint.cell", idx = widx, node = plans[widx].node);
                         }
-                        if receipt.flushed {
+                        if !written.is_empty() {
                             event!("checkpoint.flush", upto = idx);
                         }
                     }
-                    Err(e) => fatal(e),
+                    Err(e) => life.fatal(e),
                 }
             }
         };
-
-        let max_attempts = spec.resilience.max_retries_per_cell + 1;
-        let cancel = spec.resilience.cancel.as_ref();
-        let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
-        let pool = WorkStealPool::new(PoolSpec {
-            workers,
-            seed: spec.seed,
-            plan: ShardPlan::Balanced,
-            cancel: spec.resilience.cancel.clone(),
-        });
-        // One workspace per worker: injection tensors come from (and return
-        // to) the worker's pool, so steady-state cells allocate nothing.
-        // Workspaces never influence values, so sharding stays deterministic.
-        // The worker index rides along so mirrored cell events attribute
-        // work to a worker (the per-worker spans in `report --trace`).
-        // Batched mode additionally installs the shared golden snapshot once
-        // per worker, so every cell the worker runs takes the delta path.
-        pool.run_with(
-            plans.len(),
-            |worker| {
-                let mut ws = Workspace::new();
-                ws.set_mac_tier(spec.mac_tier);
-                if spec.batch > 0 {
-                    ws.install_golden(golden_key(self.trace), &self.trace.node_outputs);
-                }
-                (worker, ws)
-            },
-            |state, idx| {
-                let (worker, ws) = state;
-                let worker = *worker as u64;
-                // Advisory early-exit: a stale read runs at most one
-                // extra cell; the abort's error state is sequenced by the
-                // `errors` lock, not this flag.
-                // statcheck:allow(relaxed-flag)
-                if abort.load(Ordering::Relaxed) || cancelled() {
-                    return;
-                }
-                if lock(&results)[idx].is_some() {
-                    return; // restored from the checkpoint (pre-skipped at open)
-                }
+        self.run_wave(
+            life,
+            plans,
+            &tasks,
+            |idx| self.fresh_tally(&plans[idx]),
+            |idx, outcome, worker, dur_us| {
                 let plan = &plans[idx];
-                let cat = cat_code(plan.category);
-                // Per-cell, not per-injection: a cell is hundreds of
-                // injections, so the guard's cost stays off the hot path.
-                let _cell_prof = prof::scope("campaign.run;campaign.cell");
-                let cell_sw = clock::Stopwatch::start_if(timing_enabled());
-                let mut last: Option<(CellStats, FailureReason)> = None;
-                let mut completed = None;
-                for attempt in 0..max_attempts {
-                    // Each attempt restarts the cell's RNG stream, so a
-                    // successful retry is bit-identical to a clean run.
-                    let mut stats = self.fresh_cell(plan);
-                    let run = catch_unwind(AssertUnwindSafe(|| {
-                        self.run_cell(&mut stats, plan, progress.as_ref(), &metrics, &mut *ws)
-                    }));
-                    match run {
-                        Ok(Ok(())) => {
-                            completed = Some(stats);
-                            break;
-                        }
-                        Ok(Err(e)) => {
-                            last = Some((stats, FailureReason::Error(e.to_string())));
-                        }
-                        Err(payload) => {
-                            last = Some((stats, FailureReason::Panic(panic_text(&*payload))));
-                        }
-                    }
-                    if attempt + 1 < max_attempts {
-                        metrics.retries.inc();
-                        if let Some(p) = &progress {
-                            p.on_retry();
-                        }
-                        event!(
-                            "cell.retry",
-                            node = plan.node,
-                            cat = &cat,
-                            attempt = attempt + 1,
-                            reason = last.as_ref().map_or("", |(_, r)| reason_kind(r)),
-                        );
-                        // Back off before the retry; the wait is derived from
-                        // (seed, cell, retry) so the schedule replays exactly.
-                        // A cancellation or abort cuts the wait short — the
-                        // cell then lands on the failure path with its partial
-                        // tally, like any cell that exhausted its attempts.
-                        let wait = spec
-                            .resilience
-                            .retry_backoff
-                            .delay(spec.seed, idx, attempt + 1);
-                        // Advisory wake-early hint, same contract as the
-                        // cell-entry abort check.
-                        // statcheck:allow(relaxed-flag)
-                        if !sleep_unless(wait, || abort.load(Ordering::Relaxed) || cancelled()) {
-                            break;
-                        }
-                    }
-                }
-                match completed {
-                    Some(stats) => {
-                        event!(
-                            "cell.done",
-                            node = plan.node,
-                            cat = &cat,
-                            samples = stats.samples,
-                            masked = stats.masked,
-                            output_error = stats.output_error,
-                            anomaly = stats.anomaly,
-                            elapsed_us = cell_sw.elapsed_us().unwrap_or(0),
-                        );
-                        metrics.cells_done.inc();
-                        if let Some(p) = &progress {
-                            p.on_cell_done();
-                        }
-                        mirror(
+                match outcome {
+                    TaskOutcome::Done(Tally { stats, .. }) => {
+                        // The worker index attributes work to a worker (the
+                        // per-worker spans in `report --trace`).
+                        life.emit(
                             "cell.done",
                             &[
                                 ("node", Value::U64(plan.node as u64)),
-                                ("cat", Value::Str(&cat)),
+                                ("cat", Value::Str(&cat_code(plan.category))),
                                 ("samples", Value::U64(stats.samples as u64)),
                                 ("masked", Value::U64(stats.masked as u64)),
+                                ("output_error", Value::U64(stats.output_error as u64)),
+                                ("anomaly", Value::U64(stats.anomaly as u64)),
                                 ("worker", Value::U64(worker)),
-                                ("dur_us", Value::U64(cell_sw.elapsed_us().unwrap_or(0))),
+                                ("elapsed_us", Value::U64(dur_us)),
                             ],
                         );
+                        life.metrics.cells_done.inc();
+                        if let Some(p) = &life.progress {
+                            p.on_cell_done();
+                        }
                         commit(idx, Some(stats.clone()));
                         lock(&results)[idx] = Some(stats);
                     }
-                    None => {
-                        // Unreachable fallback: `last` is always set when
-                        // no attempt completed (max_attempts >= 1).
-                        let (partial, reason) = last.unwrap_or_else(|| {
-                            (
-                                self.fresh_cell(plan),
-                                FailureReason::Error("cell never ran".into()),
-                            )
-                        });
+                    TaskOutcome::Failed {
+                        partial,
+                        attempts,
+                        reason,
+                    } => {
+                        let partial = partial.stats;
                         let failed_so_far = failure_count.fetch_add(1, Ordering::Relaxed) + 1;
-                        event!(
-                            "cell.failed",
-                            node = plan.node,
-                            cat = &cat,
-                            attempts = max_attempts,
-                            samples = partial.samples,
-                            reason = reason_kind(&reason),
-                        );
-                        if let Some(p) = &progress {
-                            p.on_cell_failed();
-                        }
-                        mirror(
-                            "cell.failed",
-                            &[
-                                ("node", Value::U64(plan.node as u64)),
-                                ("cat", Value::Str(&cat)),
-                                ("reason", Value::Str(reason_kind(&reason))),
-                                ("worker", Value::U64(worker)),
-                                ("dur_us", Value::U64(cell_sw.elapsed_us().unwrap_or(0))),
-                            ],
-                        );
+                        life.cell_failed(plan, attempts, partial.samples, &reason);
                         lock(&failures).push((
                             idx,
                             CellFailure {
                                 node: plan.node,
                                 layer: partial.layer.clone(),
                                 category: plan.category,
-                                attempts: max_attempts,
+                                attempts,
                                 samples_completed: partial.samples,
                                 reason,
                             },
                         ));
                         // The degraded cell keeps its partial tally: fewer
-                        // samples simply widen its Wilson interval. The ordered
-                        // commit records a skip (no bytes), so a resumed
-                        // campaign retries the cell.
+                        // samples simply widen its Wilson interval.
                         commit(idx, None);
                         lock(&results)[idx] = Some(partial);
                         // Exactly one worker observes the count crossing the
-                        // budget — the one whose `fetch_add` lands on budget + 1
-                        // — so the abort fires once with a message that does not
-                        // depend on how many other cells failed concurrently.
+                        // budget — the one whose `fetch_add` lands on budget
+                        // + 1 — so the abort fires once with a message that
+                        // does not depend on how many other cells failed
+                        // concurrently.
                         if failed_so_far == spec.resilience.failure_budget + 1 {
-                            fatal(DnnError::Campaign {
-                                message: format!(
-                                    "failure budget exhausted: {failed_so_far} cells \
-                                 failed (budget {})",
-                                    spec.resilience.failure_budget
-                                ),
-                            });
+                            life.fatal(budget_exhausted(failed_so_far, spec));
                         }
                     }
                 }
             },
         );
 
-        if let Some(state) = &ckpt {
-            let mut st = lock(state);
-            // The checkpoint writer IS the guarded resource; flushing
-            // under the lock is what keeps the file's record stream
-            // append-ordered with committing workers.
-            // statcheck:allow(block-under-lock)
-            if let Err(e) = st.writer.flush() {
-                lock(&errors).push(DnnError::Campaign {
-                    message: format!("checkpoint flush failed: {e}"),
-                });
-            } else {
-                event!("checkpoint.flush", upto = plans.len());
-            }
-        }
-        // The progress line terminates even on the error path, so an aborted
-        // campaign does not leave a torn `\r` line on the terminal.
-        if let Some(p) = &progress {
-            p.finish();
-        }
-        if cancelled() {
+        let results = results.into_inner().unwrap_or_else(PoisonError::into_inner);
+        if life.cancelled() {
             // Cells finished before the token fired were committed above, so
             // the checkpoint left behind resumes cleanly. A token that fired
             // after the last cell completed is a no-op: the run is whole.
-            let done = lock(&results).iter().filter(|c| c.is_some()).count();
+            let done = results.iter().flatten().count();
             if done < plans.len() {
                 event!(
                     "campaign.cancel",
-                    net = &net,
+                    net = &life.net,
                     done = done,
                     total = plans.len()
                 );
@@ -857,99 +849,540 @@ impl<'a> CampaignRunner<'a> {
                 });
             }
         }
-        if let Some(e) = lock(&errors).first() {
-            event!("campaign.abort", net = &net, error = &e.to_string());
-            mirror("campaign.abort", &[("error", Value::Str(&e.to_string()))]);
+        if let Some(e) = lock(&life.errors).first() {
             return Err(e.clone());
         }
-        let mut cells = Vec::with_capacity(plans.len());
-        for (idx, slot) in results
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
+        let cells = results
             .into_iter()
             .enumerate()
-        {
-            cells.push(slot.ok_or_else(|| DnnError::Campaign {
-                message: format!("internal: cell {idx} never ran"),
-            })?);
-        }
-        // Failures were pushed in completion order, which depends on
-        // scheduling; reporting them in plan order keeps the result (and
-        // anything diffing it) deterministic across worker counts.
-        let mut indexed_failures = failures
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        indexed_failures.sort_by_key(|&(idx, _)| idx);
-        let fast_divergence = self.measure_fast_divergence(&plans, &net);
-        let result = CampaignResult {
+            .map(|(idx, slot)| {
+                slot.ok_or_else(|| DnnError::Campaign {
+                    message: format!("internal: cell {idx} never ran"),
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(PlanOutput {
             cells,
-            failures: indexed_failures.into_iter().map(|(_, f)| f).collect(),
-            fast_divergence,
+            failures: failures
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner),
             certificate: None,
-        };
-        let (masked, output_error, anomaly) = result.cells.iter().fold((0, 0, 0), |acc, c| {
-            (acc.0 + c.masked, acc.1 + c.output_error, acc.2 + c.anomaly)
-        });
-        event!(
-            "campaign.finish",
-            net = &net,
-            cells = result.cells.len(),
-            injections = result.total_samples(),
-            masked = masked,
-            output_error = output_error,
-            anomaly = anomaly,
-            failures = result.failures.len(),
-            elapsed_us = campaign_sw.elapsed_us().unwrap_or(0),
-        );
-        mirror(
-            "campaign.finish",
-            &[
-                ("cells", Value::U64(result.cells.len() as u64)),
-                ("injections", Value::U64(result.total_samples() as u64)),
-                ("masked", Value::U64(masked as u64)),
-                ("failures", Value::U64(result.failures.len() as u64)),
-                (
-                    "elapsed_us",
-                    Value::U64(campaign_sw.elapsed_us().unwrap_or(0)),
-                ),
-            ],
-        );
-        Ok(result)
+        })
     }
 
-    fn fresh_cell(&self, plan: &CellPlan) -> CellStats {
-        CellStats {
-            node: plan.node,
-            layer: self.engine.network().layer(plan.node).name().to_owned(),
-            category: plan.category,
-            model: plan.model,
-            samples: 0,
-            masked: 0,
-            output_error: 0,
-            anomaly: 0,
-            events: Vec::new(),
+    /// The adaptive plan: wave-based sequential sampling over per-(node ×
+    /// category) strata, Neyman allocation by uncertainty contribution,
+    /// `fidelity-ackpt v1` checkpointing at every wave barrier, and a
+    /// confidence certificate on completion. A stratum whose task fails
+    /// freezes at its pre-wave tally.
+    fn execute_adaptive(
+        &self,
+        life: &Lifecycle,
+        aplan: &AdaptivePlan,
+        plans: &[CellPlan],
+        fingerprint: u64,
+        resume: Option<(&Path, BufReader<File>)>,
+        ckpt_path: Option<&Path>,
+    ) -> Result<PlanOutput, DnnError> {
+        let _prof = prof::scope("campaign.adaptive");
+        let spec = &self.spec;
+        let bad = |message: String| DnnError::Campaign { message };
+        let z = aplan.validated_z()?;
+        if spec.record_events {
+            return Err(bad(
+                "adaptive campaigns do not record per-injection events \
+                 (strata sizes are data-dependent); drop record_events"
+                    .into(),
+            ));
+        }
+        let plan_ids: Vec<(usize, FfCategory)> =
+            plans.iter().map(|p| (p.node, p.category)).collect();
+        let weights = stratum_weights(self.engine, self.trace, self.accel, &plan_ids);
+        let strata: Vec<StratumMeta> = plans
+            .iter()
+            .zip(&weights)
+            .map(|(p, &weight)| StratumMeta {
+                node: p.node,
+                category: p.category,
+                model: p.model,
+                weight,
+                layer: self.engine.network().layer(p.node).name().to_owned(),
+            })
+            .collect();
+
+        // Each stratum owns the same derived RNG stream a fixed-plan cell
+        // does: its first k samples are bit-identical to the fixed plan's.
+        let mut states: Vec<Tally> = plans.iter().map(|p| self.fresh_tally(p)).collect();
+        // A frozen stratum exhausted its retries; it keeps its last
+        // committed tally and receives no further allocation.
+        let mut frozen = vec![false; plans.len()];
+        let mut committed: Vec<WaveBlock> = Vec::new();
+        let mut failures: Vec<(usize, CellFailure)> = Vec::new();
+        let mut resumed_footer: Option<CertFooter> = None;
+
+        // Resume: replay every committed wave into the tallies. The RNG
+        // stream state rides in the rows, so sampling continues mid-stream
+        // exactly where the killed process stopped.
+        if let Some((path, reader)) = resume {
+            let parsed = parse_adaptive_checkpoint(reader)?;
+            check_fingerprint(path, parsed.fingerprint, fingerprint)?;
+            if parsed.epsilon_bits != aplan.epsilon.to_bits()
+                || parsed.confidence_bits != aplan.confidence.to_bits()
+                || parsed.max_injections != aplan.max_injections
+                || parsed.floor != WAVE_FLOOR
+            {
+                return Err(bad(format!(
+                    "checkpoint {} was written by a different adaptive plan",
+                    path.display()
+                )));
+            }
+            if parsed.strata.len() != strata.len()
+                || parsed.strata.iter().zip(&strata).any(|((m, wbits), mine)| {
+                    m.node != mine.node
+                        || m.category != mine.category
+                        || *wbits != mine.weight.to_bits()
+                })
+            {
+                return Err(bad(format!(
+                    "checkpoint {} stratum table does not match the plan",
+                    path.display()
+                )));
+            }
+            for block in &parsed.waves {
+                for (idx, row) in &block.rows {
+                    let state = states.get_mut(*idx).ok_or_else(|| {
+                        bad(format!(
+                            "corrupt adaptive checkpoint: stratum {idx} out of range"
+                        ))
+                    })?;
+                    if frozen[*idx] || row.samples < state.stats.samples {
+                        return Err(bad(format!(
+                            "corrupt adaptive checkpoint: stratum {idx} tally regressed"
+                        )));
+                    }
+                    state.stats.samples = row.samples;
+                    state.stats.masked = row.masked;
+                    state.stats.output_error = row.output_error;
+                    state.stats.anomaly = row.anomaly;
+                    state.rng_state = row.rng_state;
+                }
+                for f in &block.fails {
+                    let meta = strata.get(f.stratum).ok_or_else(|| {
+                        bad(format!(
+                            "corrupt adaptive checkpoint: failed stratum {} out of range",
+                            f.stratum
+                        ))
+                    })?;
+                    frozen[f.stratum] = true;
+                    let reason = if f.kind == "panic" {
+                        FailureReason::Panic(f.message.clone())
+                    } else {
+                        FailureReason::Error(f.message.clone())
+                    };
+                    failures.push((
+                        f.stratum,
+                        CellFailure {
+                            node: meta.node,
+                            layer: meta.layer.clone(),
+                            category: meta.category,
+                            attempts: f.attempts,
+                            samples_completed: states[f.stratum].stats.samples,
+                            reason,
+                        },
+                    ));
+                }
+            }
+            committed = parsed.waves;
+            resumed_footer = parsed.footer;
+        }
+        if !committed.is_empty() {
+            life.emit(
+                "campaign.resume",
+                &[
+                    ("net", Value::Str(&life.net)),
+                    ("waves", Value::U64(committed.len() as u64)),
+                    (
+                        "injections",
+                        Value::U64(states.iter().map(|t| t.stats.samples as u64).sum()),
+                    ),
+                ],
+            );
+        }
+
+        // Canonical rewrite: the checkpoint is recreated from the replayed
+        // blocks, so resumed files stay bit-identical to uninterrupted ones.
+        let io_err = |what: &'static str| {
+            move |e: std::io::Error| bad(format!("adaptive checkpoint {what} failed: {e}"))
+        };
+        let mut ckpt: Option<BufWriter<File>> = match ckpt_path {
+            Some(path) => {
+                let mut w = create_checkpoint(path)?;
+                write_adaptive_header(&mut w, fingerprint, aplan, WAVE_FLOOR, &strata)
+                    .map_err(io_err("header write"))?;
+                for block in &committed {
+                    write_wave(&mut w, block).map_err(io_err("wave write"))?;
+                }
+                w.flush().map_err(io_err("flush"))?;
+                Some(w)
+            }
+            None => None,
+        };
+
+        let gauge_resolved = fidelity_obs::metrics::gauge("campaign.strata_resolved");
+        let gauge_total = fidelity_obs::metrics::gauge("campaign.strata_total");
+        // Strata that can ever carry uncertainty: sampled with nonzero
+        // weight. Display-only denominator for the convergence readout.
+        let display_total = strata
+            .iter()
+            .filter(|m| m.sampled() && m.weight > 0.0)
+            .count();
+        gauge_total.set(display_total as i64);
+
+        let mut wave = committed.len();
+        let mut total_failures = failures.len();
+        // A checkpoint that already carries its certificate footer is a
+        // finished campaign: re-running waves would extend a sealed result.
+        while resumed_footer.is_none() {
+            let bounds: Vec<f64> = strata
+                .iter()
+                .zip(&states)
+                .map(|(m, t)| {
+                    stratum_terms(m.weight, t.stats.masked, t.stats.samples, z, m.sampled()).3
+                })
+                .collect();
+            let total_bound: f64 = bounds.iter().sum();
+            // Display-only convergence readout: a stratum counts as resolved
+            // once its share of the bound is below its even split of ε.
+            let resolved = (0..strata.len())
+                .filter(|&i| {
+                    strata[i].sampled()
+                        && strata[i].weight > 0.0
+                        && bounds[i] <= aplan.epsilon / display_total.max(1) as f64
+                })
+                .count();
+            gauge_resolved.set(resolved as i64);
+            if let Some(p) = &life.progress {
+                p.set_strata(resolved, display_total);
+            }
+            if total_bound <= aplan.epsilon {
+                break; // converged
+            }
+            let total: usize = states.iter().map(|t| t.stats.samples).sum();
+            let headroom = aplan.max_injections.saturating_sub(total);
+            if headroom == 0 {
+                break; // cap reached: honest non-converged certificate
+            }
+            let growable: Vec<usize> = (0..strata.len())
+                .filter(|&i| strata[i].sampled() && !frozen[i] && bounds[i] > 0.0)
+                .collect();
+            if growable.is_empty() {
+                break; // every live stratum is exact; frozen ones hold the bound up
+            }
+            // Wave 0 lays an even floor; later waves spend half the total so
+            // far (amortizing the re-estimation) proportionally to each
+            // stratum's uncertainty contribution.
+            let quotas = if wave == 0 {
+                let budget = (WAVE_FLOOR * growable.len()).min(headroom);
+                allocate_even(budget, &growable, spec.seed, wave)
+            } else {
+                let budget = (total / 2).max(WAVE_MIN_BUDGET).min(headroom);
+                let weighted: Vec<(usize, f64)> =
+                    growable.iter().map(|&i| (i, bounds[i])).collect();
+                allocate_neyman(budget, &weighted, spec.seed, wave)
+            };
+            if quotas.is_empty() {
+                break;
+            }
+            event!(
+                "campaign.wave",
+                net = &life.net,
+                wave = wave,
+                strata = quotas.len(),
+                budget = quotas.iter().map(|&(_, q)| q).sum::<usize>(),
+                bound = total_bound,
+            );
+            life.mirror(
+                "campaign.wave",
+                &[
+                    ("wave", Value::U64(wave as u64)),
+                    ("strata", Value::U64(quotas.len() as u64)),
+                ],
+            );
+
+            // Run the wave. Tasks start from the committed tallies and
+            // publish into their stratum's slot; the barrier folds the slots
+            // back in stratum order, so nothing about the result depends on
+            // scheduling.
+            let slots: Vec<Mutex<Option<TaskOutcome>>> =
+                plans.iter().map(|_| Mutex::new(None)).collect();
+            self.run_wave(
+                life,
+                plans,
+                &quotas,
+                |sidx| states[sidx].clone(),
+                |sidx, outcome, _, _| *lock(&slots[sidx]) = Some(outcome),
+            );
+
+            // Fold the wave at the barrier, in stratum order.
+            let mut block = WaveBlock {
+                index: wave,
+                rows: Vec::new(),
+                fails: Vec::new(),
+            };
+            let mut incomplete = false;
+            for &(sidx, _) in &quotas {
+                match lock(&slots[sidx]).take() {
+                    None => incomplete = true,
+                    Some(TaskOutcome::Done(tally)) => {
+                        let s = &tally.stats;
+                        block.rows.push((
+                            sidx,
+                            StratumRow {
+                                samples: s.samples,
+                                masked: s.masked,
+                                output_error: s.output_error,
+                                anomaly: s.anomaly,
+                                rng_state: tally.rng_state,
+                            },
+                        ));
+                        states[sidx] = tally;
+                    }
+                    Some(TaskOutcome::Failed {
+                        attempts, reason, ..
+                    }) => {
+                        // The stratum freezes with its pre-wave tally: the
+                        // lost wave's partial samples are discarded (they
+                        // were never committed), its Wilson interval simply
+                        // stays at the committed width.
+                        frozen[sidx] = true;
+                        total_failures += 1;
+                        let samples = states[sidx].stats.samples;
+                        life.cell_failed(&plans[sidx], attempts, samples, &reason);
+                        block.fails.push(WaveFail {
+                            stratum: sidx,
+                            attempts,
+                            kind: reason_kind(&reason).to_owned(),
+                            message: match &reason {
+                                FailureReason::Error(m) | FailureReason::Panic(m) => m.clone(),
+                            },
+                        });
+                        let meta = &strata[sidx];
+                        failures.push((
+                            sidx,
+                            CellFailure {
+                                node: meta.node,
+                                layer: meta.layer.clone(),
+                                category: meta.category,
+                                attempts,
+                                samples_completed: samples,
+                                reason,
+                            },
+                        ));
+                    }
+                }
+            }
+            if incomplete {
+                // Cancelled mid-wave: nothing of this wave is committed, so
+                // the checkpoint on disk resumes from the last barrier.
+                let total: usize = states.iter().map(|t| t.stats.samples).sum();
+                event!(
+                    "campaign.cancel",
+                    net = &life.net,
+                    waves = wave,
+                    injections = total
+                );
+                return Err(bad(format!(
+                    "adaptive campaign cancelled after {wave} waves ({total} injections)"
+                )));
+            }
+            if let Some(w) = &mut ckpt {
+                write_wave(w, &block).map_err(io_err("wave write"))?;
+                w.flush().map_err(io_err("flush"))?;
+            }
+            wave += 1;
+            if total_failures > spec.resilience.failure_budget {
+                return Err(budget_exhausted(total_failures, spec));
+            }
+        }
+
+        // Build the certificate with the exact arithmetic the offline
+        // verifier replays, so `statcheck --cert` compares bit-for-bit.
+        let tallies: Vec<(usize, usize)> = states
+            .iter()
+            .map(|t| (t.stats.samples, t.stats.masked))
+            .collect();
+        let cert = build_certificate(fingerprint, aplan, z, &strata, &tallies, wave);
+        if let Some(f) = &resumed_footer {
+            // A complete checkpoint must agree with its own data when
+            // recomputed — anything else is tampering or corruption.
+            if cert.total_bound.to_bits() != f.total_bound.to_bits()
+                || cert.total_injections != f.total_injections
+                || cert.converged != f.converged
+                || committed.len() != f.waves
+            {
+                return Err(bad(
+                    "corrupt adaptive checkpoint: stored certificate does not match \
+                     its own wave data"
+                        .into(),
+                ));
+            }
+        }
+        if let Some(w) = &mut ckpt {
+            write_cert_footer(
+                w,
+                &CertFooter {
+                    total_bound: cert.total_bound,
+                    total_injections: cert.total_injections,
+                    waves: wave,
+                    converged: cert.converged,
+                },
+            )
+            .map_err(io_err("certificate write"))?;
+            w.flush().map_err(io_err("flush"))?;
+        }
+        Ok(PlanOutput {
+            cells: states.into_iter().map(|t| t.stats).collect(),
+            failures,
+            certificate: Some(cert),
+        })
+    }
+
+    /// Runs one wave: every `(cell, quota)` task continues `start(cell)`'s
+    /// tally by `quota` samples on the work-stealing pool. A task runs
+    /// inside one panic-isolated attempt loop: each attempt restarts from
+    /// `start(cell)`, so a successful retry is bit-identical to a clean run;
+    /// retries wait out the seeded [`RetryBackoff`] schedule, which a cancel
+    /// or abort cuts short. `finish(cell, outcome, worker, dur_us)` receives
+    /// every task that ran, on the worker that ran it; tasks skipped after a
+    /// cancel or abort never reach it.
+    ///
+    /// [`RetryBackoff`]: crate::resilience::RetryBackoff
+    fn run_wave(
+        &self,
+        life: &Lifecycle,
+        plans: &[CellPlan],
+        tasks: &[(usize, usize)],
+        start: impl Fn(usize) -> Tally + Sync,
+        finish: impl Fn(usize, TaskOutcome, u64, u64) + Sync,
+    ) {
+        let spec = &self.spec;
+        let max_attempts = spec.resilience.max_retries_per_cell + 1;
+        // One workspace per worker: injection tensors come from (and return
+        // to) the worker's pool, so steady-state tasks allocate nothing.
+        // Workspaces never influence values, so sharding stays deterministic.
+        // Batched mode additionally installs the shared golden snapshot once
+        // per worker, so every task the worker runs takes the delta path.
+        life.pool.run_with(
+            tasks.len(),
+            |worker| {
+                let mut ws = Workspace::new();
+                ws.set_mac_tier(spec.mac_tier);
+                if spec.batch > 0 {
+                    ws.install_golden(golden_key(self.trace), &self.trace.node_outputs);
+                }
+                (worker as u64, ws)
+            },
+            |(worker, ws), t| {
+                if life.stopped() {
+                    return;
+                }
+                let (cell, quota) = tasks[t];
+                let plan = &plans[cell];
+                // Per-task, not per-injection: a task is hundreds of
+                // injections, so the guard's cost stays off the hot path.
+                let _prof = prof::scope("campaign.run;campaign.cell");
+                let sw = clock::Stopwatch::start_if(timing_enabled());
+                let mut attempt = 0;
+                let outcome = loop {
+                    let mut tally = start(cell);
+                    let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        self.run_samples(&mut tally, plan, quota, life, ws)
+                    }));
+                    let reason = match run {
+                        Ok(Ok(())) => break TaskOutcome::Done(tally),
+                        Ok(Err(e)) => FailureReason::Error(e.to_string()),
+                        Err(payload) => FailureReason::Panic(panic_text(&*payload)),
+                    };
+                    attempt += 1;
+                    let failed = |reason| TaskOutcome::Failed {
+                        partial: tally,
+                        attempts: max_attempts,
+                        reason,
+                    };
+                    if attempt == max_attempts {
+                        break failed(reason);
+                    }
+                    life.metrics.retries.inc();
+                    if let Some(p) = &life.progress {
+                        p.on_retry();
+                    }
+                    event!(
+                        "cell.retry",
+                        node = plan.node,
+                        cat = &cat_code(plan.category),
+                        attempt = attempt,
+                        reason = reason_kind(&reason),
+                    );
+                    // The wait derives from (seed, cell, retry), so the
+                    // schedule replays exactly.
+                    let wait = spec
+                        .resilience
+                        .retry_backoff
+                        .delay(spec.seed, cell, attempt);
+                    if !sleep_unless(wait, || life.stopped()) {
+                        break failed(reason);
+                    }
+                };
+                finish(cell, outcome, *worker, sw.elapsed_us().unwrap_or(0));
+            },
+        );
+    }
+
+    /// A cell's tally before its first sample, at the start of its derived
+    /// RNG stream.
+    fn fresh_tally(&self, plan: &CellPlan) -> Tally {
+        Tally {
+            stats: CellStats {
+                node: plan.node,
+                layer: self.engine.network().layer(plan.node).name().to_owned(),
+                category: plan.category,
+                model: plan.model,
+                samples: 0,
+                masked: 0,
+                output_error: 0,
+                anomaly: 0,
+                events: Vec::new(),
+            },
+            rng_state: self.spec.seed
+                ^ (plan.node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                ^ cat_tag(plan.category),
         }
     }
 
-    /// Runs one cell's injection loop into `stats`. The tally is passed in
-    /// by reference so a panic mid-loop leaves the samples completed so far
-    /// observable to the caller's recovery path.
-    fn run_cell(
+    /// Runs `quota` more samples of one cell into `tally`, continuing its
+    /// RNG stream. Sample indices are absolute (`stats.samples` counts from
+    /// the cell's first sample), so chaos triggers and the golden re-ensure
+    /// cadence line up across waves. The tally is passed by reference so a
+    /// panic mid-loop leaves the samples completed so far observable to the
+    /// attempt loop.
+    fn run_samples(
         &self,
-        stats: &mut CellStats,
+        tally: &mut Tally,
         plan: &CellPlan,
-        progress: Option<&CampaignProgress>,
-        metrics: &CampaignMetrics,
+        quota: usize,
+        life: &Lifecycle,
         ws: &mut Workspace,
     ) -> Result<(), DnnError> {
         let spec = &self.spec;
+        let stats = &mut tally.stats;
+        let progress = life.progress.as_ref();
         // Global control needs no simulation: Prob_SWmask is 0 by definition.
         if matches!(plan.model, SoftwareFaultModel::GlobalControl) {
-            stats.samples = spec.samples_per_cell;
-            stats.anomaly = spec.samples_per_cell;
-            metrics.injections.add(spec.samples_per_cell as u64);
+            stats.samples += quota;
+            stats.anomaly += quota;
+            life.metrics.injections.add(quota as u64);
             if let Some(p) = progress {
-                for _ in 0..spec.samples_per_cell {
+                for _ in 0..quota {
                     p.on_injection(CategoryKind::GlobalControl, OutcomeKind::Anomaly);
                 }
             }
@@ -961,35 +1394,19 @@ impl<'a> CampaignRunner<'a> {
             .chaos
             .iter()
             .find(|c| c.node == plan.node && c.category == plan.category);
-        let mut rng = SplitMix64::new(
-            spec.seed
-                ^ (plan.node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ cat_tag(plan.category),
-        );
-        // Adaptive stopping checks the CI every `batch` samples, with a
-        // minimum sample floor so a lucky streak cannot end a cell after a
-        // handful of injections.
-        const ADAPTIVE_BATCH: usize = 50;
-        const ADAPTIVE_FLOOR: usize = 100;
+        let mut rng = SplitMix64::new(tally.rng_state);
         // Batched fault-cone evaluation: the delta path engages whenever the
         // worker's workspace holds a golden snapshot matching this trace.
-        // The snapshot is re-ensured on the batch cadence (and at sample 0,
-        // so a retried cell recovers immediately) — a panic that lost the
-        // loaned overlay costs at most `batch - 1` dense fallback resumes
-        // before the snapshot is reinstalled.
+        // The snapshot is re-ensured at task entry (so a retried task
+        // recovers immediately) and on the batch cadence — a panic that lost
+        // the loaned overlay costs at most `batch - 1` dense fallback
+        // resumes before the snapshot is reinstalled.
         let golden = (spec.batch > 0).then(|| golden_key(self.trace));
-        for i in 0..spec.samples_per_cell {
+        for j in 0..quota {
+            let i = stats.samples;
             if let Some(key) = golden {
-                if i % spec.batch == 0 && ws.golden_key() != Some(key) {
+                if (j == 0 || i.is_multiple_of(spec.batch)) && ws.golden_key() != Some(key) {
                     ws.install_golden(key, &self.trace.node_outputs);
-                }
-            }
-            if let Some(target) = spec.target_ci_halfwidth {
-                if i >= ADAPTIVE_FLOOR && i % ADAPTIVE_BATCH == 0 {
-                    let (lo, hi) = wilson_interval(stats.masked, stats.samples);
-                    if (hi - lo) / 2.0 <= target {
-                        break;
-                    }
                 }
             }
             // The watchdog clock starts before any chaos delay: a slow
@@ -999,7 +1416,7 @@ impl<'a> CampaignRunner<'a> {
             let deadline = spec.resilience.injection_deadline.map(|d| clock::now() + d);
             apply_chaos(chaos, i, plan.node, plan.category);
             let inj_sw = clock::Stopwatch::start_if(timing_enabled());
-            let inj = inject_once_pooled(
+            let inj = crate::inject::inject_once_pooled(
                 self.engine,
                 self.trace,
                 plan.node,
@@ -1009,8 +1426,8 @@ impl<'a> CampaignRunner<'a> {
                 deadline,
                 ws,
             )?;
-            metrics.injection_ns.record_opt(inj_sw.elapsed_ns());
-            metrics.injections.inc();
+            life.metrics.injection_ns.record_opt(inj_sw.elapsed_ns());
+            life.metrics.injections.inc();
             stats.samples += 1;
             match inj.outcome {
                 Outcome::Masked => stats.masked += 1,
@@ -1018,7 +1435,7 @@ impl<'a> CampaignRunner<'a> {
                 Outcome::SystemAnomaly => stats.anomaly += 1,
             }
             if inj.watchdog {
-                metrics.watchdog.inc();
+                life.metrics.watchdog.inc();
                 event!("watchdog.fired", node = plan.node, sample = i);
                 if let Some(p) = progress {
                     p.on_watchdog();
@@ -1035,6 +1452,7 @@ impl<'a> CampaignRunner<'a> {
                 });
             }
         }
+        tally.rng_state = rng.state();
         Ok(())
     }
 
@@ -1062,765 +1480,28 @@ impl<'a> CampaignRunner<'a> {
             worst
         })
     }
+}
 
-    /// The adaptive (confidence-driven) execution path: wave-based
-    /// sequential sampling over per-(node × category) strata, Neyman
-    /// allocation by uncertainty contribution, `fidelity-ackpt v1`
-    /// checkpointing at every wave barrier, and a confidence certificate on
-    /// completion. Dispatched from [`CampaignRunner::run`] when
-    /// `spec.adaptive` is set.
-    #[allow(clippy::too_many_lines)] // one linear pipeline: setup, resume, wave loop, certificate
-    fn execute_adaptive(
-        &self,
-        resume_path: Option<&Path>,
-        jobs: usize,
-    ) -> Result<CampaignResult, DnnError> {
-        let _prof = prof::scope("campaign.adaptive");
-        let spec = &self.spec;
-        let bad = |message: String| DnnError::Campaign { message };
-        let Some(aplan) = spec.adaptive.clone() else {
-            return Err(bad("adaptive execution requires spec.adaptive".into()));
-        };
-        let z = aplan.validated_z()?;
-        if spec.record_events {
-            return Err(bad(
-                "adaptive campaigns do not record per-injection events \
-                 (strata sizes are data-dependent); drop record_events"
-                    .into(),
-            ));
-        }
-        if spec.target_ci_halfwidth.is_some() {
-            return Err(bad(
-                "target_ci_halfwidth (per-cell stopping) and the adaptive plan \
-                 (campaign-level stopping) are mutually exclusive"
-                    .into(),
-            ));
-        }
-        let plans = self.plans();
-        let plan_ids: Vec<(usize, FfCategory)> =
-            plans.iter().map(|p| (p.node, p.category)).collect();
-        let fingerprint = campaign_fingerprint(spec, self.engine.network().name(), &plan_ids);
-        let weights = stratum_weights(self.engine, self.trace, self.accel, &plan_ids);
-        let strata: Vec<StratumMeta> = plans
-            .iter()
-            .zip(&weights)
-            .map(|(p, &weight)| StratumMeta {
-                node: p.node,
-                category: p.category,
-                model: p.model,
-                weight,
-                layer: self.engine.network().layer(p.node).name().to_owned(),
-            })
-            .collect();
-
-        // Each stratum owns the same derived RNG stream a fixed-count cell
-        // would: its first k samples are bit-identical to the fixed path's.
-        let mut states: Vec<StratumTally> = plans
-            .iter()
-            .map(|p| {
-                StratumTally::fresh(
-                    spec.seed
-                        ^ (p.node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        ^ cat_tag(p.category),
-                )
-            })
-            .collect();
-        let mut committed: Vec<WaveBlock> = Vec::new();
-        let mut failures: Vec<(usize, CellFailure)> = Vec::new();
-        let mut resumed_footer: Option<CertFooter> = None;
-
-        // Resume: replay every committed wave into the tallies. The RNG
-        // stream state rides in the rows, so sampling continues mid-stream
-        // exactly where the killed process stopped.
-        if let Some(path) = resume_path {
-            if path.exists() {
-                let file = File::open(path)
-                    .map_err(|e| bad(format!("cannot open checkpoint {}: {e}", path.display())))?;
-                let parsed = parse_adaptive_checkpoint(BufReader::new(file))?;
-                if parsed.fingerprint != fingerprint {
-                    return Err(bad(format!(
-                        "checkpoint {} belongs to a different campaign \
-                         (fingerprint {:016x}, expected {:016x})",
-                        path.display(),
-                        parsed.fingerprint,
-                        fingerprint
-                    )));
-                }
-                if parsed.epsilon_bits != aplan.epsilon.to_bits()
-                    || parsed.confidence_bits != aplan.confidence.to_bits()
-                    || parsed.max_injections != aplan.max_injections
-                    || parsed.floor != WAVE_FLOOR
-                {
-                    return Err(bad(format!(
-                        "checkpoint {} was written by a different adaptive plan",
-                        path.display()
-                    )));
-                }
-                if parsed.strata.len() != strata.len()
-                    || parsed.strata.iter().zip(&strata).any(|((m, wbits), mine)| {
-                        m.node != mine.node
-                            || m.category != mine.category
-                            || *wbits != mine.weight.to_bits()
-                    })
-                {
-                    return Err(bad(format!(
-                        "checkpoint {} stratum table does not match the plan",
-                        path.display()
-                    )));
-                }
-                for block in &parsed.waves {
-                    for (idx, row) in &block.rows {
-                        let state = states.get_mut(*idx).ok_or_else(|| {
-                            bad(format!(
-                                "corrupt adaptive checkpoint: stratum {idx} out of range"
-                            ))
-                        })?;
-                        if state.frozen || row.samples < state.samples {
-                            return Err(bad(format!(
-                                "corrupt adaptive checkpoint: stratum {idx} tally regressed"
-                            )));
-                        }
-                        *state = StratumTally {
-                            samples: row.samples,
-                            masked: row.masked,
-                            output_error: row.output_error,
-                            anomaly: row.anomaly,
-                            rng_state: row.rng_state,
-                            frozen: false,
-                        };
-                    }
-                    for f in &block.fails {
-                        let meta = strata.get(f.stratum).ok_or_else(|| {
-                            bad(format!(
-                                "corrupt adaptive checkpoint: failed stratum {} out of range",
-                                f.stratum
-                            ))
-                        })?;
-                        states[f.stratum].frozen = true;
-                        let reason = if f.kind == "panic" {
-                            FailureReason::Panic(f.message.clone())
-                        } else {
-                            FailureReason::Error(f.message.clone())
-                        };
-                        failures.push((
-                            f.stratum,
-                            CellFailure {
-                                node: meta.node,
-                                layer: meta.layer.clone(),
-                                category: meta.category,
-                                attempts: f.attempts,
-                                samples_completed: states[f.stratum].samples,
-                                reason,
-                            },
-                        ));
-                    }
-                }
-                committed = parsed.waves;
-                resumed_footer = parsed.footer;
-            }
-        }
-
-        // Telemetry (same shape as the fixed path).
-        let campaign_sw = clock::Stopwatch::start_if(timing_enabled());
-        let metrics = CampaignMetrics::handles();
-        let net = self.engine.network().name().to_owned();
-        let workers = jobs.clamp(1, plans.len().max(1));
-        event!(
-            "campaign.start",
-            net = &net,
-            cells = plans.len(),
-            adaptive = true,
-            epsilon = aplan.epsilon,
-            seed = spec.seed,
-            threads = workers,
-        );
-        let progress = spec.progress.as_ref().map(|p| {
-            CampaignProgress::new(
-                net.clone(),
-                p,
-                plans.len(),
-                aplan.max_injections / plans.len().max(1),
-                spec.resilience.failure_budget,
-            )
-        });
-        let job_sink = spec.progress.as_ref().and_then(|p| p.sink.clone());
-        let mirror = |name: &str, fields: &[Field<'_>]| {
-            if let Some(h) = &job_sink {
-                trace::record_now(h.sink(), name, fields);
-            }
-        };
-        mirror(
-            "campaign.start",
-            &[
-                ("net", Value::Str(&net)),
-                ("cells", Value::U64(plans.len() as u64)),
-                ("adaptive", Value::U64(1)),
-                ("threads", Value::U64(workers as u64)),
-            ],
-        );
-        if !committed.is_empty() {
-            event!(
-                "campaign.resume",
-                net = &net,
-                waves = committed.len(),
-                injections = states.iter().map(|t| t.samples).sum::<usize>(),
-            );
-        }
-
-        // Canonical rewrite: the checkpoint is recreated from the replayed
-        // blocks, so a torn tail from the previous process never lingers and
-        // resumed files stay bit-identical to uninterrupted ones.
-        let ckpt_path = spec
-            .resilience
-            .checkpoint
-            .as_ref()
-            .map(|c| c.path.as_path())
-            .or(resume_path);
-        let io_err = |what: &str, e: std::io::Error| DnnError::Campaign {
-            message: format!("adaptive checkpoint {what} failed: {e}"),
-        };
-        let mut ckpt: Option<BufWriter<File>> = match ckpt_path {
-            Some(path) => {
-                if let Some(parent) = path.parent() {
-                    if !parent.as_os_str().is_empty() {
-                        std::fs::create_dir_all(parent)
-                            .map_err(|e| io_err("directory creation", e))?;
-                    }
-                }
-                let file = File::create(path).map_err(|e| io_err("creation", e))?;
-                let mut w = BufWriter::new(file);
-                write_adaptive_header(&mut w, fingerprint, &aplan, WAVE_FLOOR, &strata)
-                    .map_err(|e| io_err("header write", e))?;
-                for block in &committed {
-                    write_wave(&mut w, block).map_err(|e| io_err("wave write", e))?;
-                }
-                w.flush().map_err(|e| io_err("flush", e))?;
-                Some(w)
-            }
-            None => None,
-        };
-
-        let max_attempts = spec.resilience.max_retries_per_cell + 1;
-        let cancel = spec.resilience.cancel.as_ref();
-        let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
-        let pool = WorkStealPool::new(PoolSpec {
-            workers,
-            seed: spec.seed,
-            plan: ShardPlan::Balanced,
-            cancel: spec.resilience.cancel.clone(),
-        });
-        let gauge_resolved = fidelity_obs::metrics::gauge("campaign.strata_resolved");
-        let gauge_total = fidelity_obs::metrics::gauge("campaign.strata_total");
-        // Strata that can ever carry uncertainty: sampled with nonzero
-        // weight. Display-only denominator for the convergence readout.
-        let display_total = strata
-            .iter()
-            .filter(|m| m.sampled() && m.weight > 0.0)
-            .count();
-        gauge_total.set(display_total as i64);
-
-        let mut wave = committed.len();
-        let mut total_failures = failures.len();
-        // A checkpoint that already carries its certificate footer is a
-        // finished campaign: re-running waves would extend a sealed result.
-        while resumed_footer.is_none() {
-            let bounds: Vec<f64> = strata
-                .iter()
-                .zip(&states)
-                .map(|(m, t)| stratum_terms(m.weight, t.masked, t.samples, z, m.sampled()).3)
-                .collect();
-            let total_bound: f64 = bounds.iter().sum();
-            // Display-only convergence readout: a stratum counts as resolved
-            // once its share of the bound is below its even split of ε.
-            let resolved = (0..strata.len())
-                .filter(|&i| {
-                    strata[i].sampled()
-                        && strata[i].weight > 0.0
-                        && bounds[i] <= aplan.epsilon / display_total.max(1) as f64
-                })
-                .count();
-            gauge_resolved.set(resolved as i64);
-            if let Some(p) = &progress {
-                p.set_strata(resolved, display_total);
-            }
-            if total_bound <= aplan.epsilon {
-                break; // converged
-            }
-            let total: usize = states.iter().map(|t| t.samples).sum();
-            let headroom = aplan.max_injections.saturating_sub(total);
-            if headroom == 0 {
-                break; // cap reached: honest non-converged certificate
-            }
-            let growable: Vec<usize> = (0..strata.len())
-                .filter(|&i| strata[i].sampled() && !states[i].frozen && bounds[i] > 0.0)
-                .collect();
-            if growable.is_empty() {
-                break; // every live stratum is exact; frozen ones hold the bound up
-            }
-            // Wave 0 lays an even floor; later waves spend half the total so
-            // far (amortizing the re-estimation) proportionally to each
-            // stratum's uncertainty contribution.
-            let quotas = if wave == 0 {
-                let budget = (WAVE_FLOOR * growable.len()).min(headroom);
-                allocate_even(budget, &growable, spec.seed, wave)
-            } else {
-                let budget = (total / 2).max(WAVE_MIN_BUDGET).min(headroom);
-                let weighted: Vec<(usize, f64)> =
-                    growable.iter().map(|&i| (i, bounds[i])).collect();
-                allocate_neyman(budget, &weighted, spec.seed, wave)
-            };
-            if quotas.is_empty() {
-                break;
-            }
-            event!(
-                "campaign.wave",
-                net = &net,
-                wave = wave,
-                strata = quotas.len(),
-                budget = quotas.iter().map(|&(_, q)| q).sum::<usize>(),
-                bound = total_bound,
-            );
-            mirror(
-                "campaign.wave",
-                &[
-                    ("wave", Value::U64(wave as u64)),
-                    ("strata", Value::U64(quotas.len() as u64)),
-                ],
-            );
-
-            // Run the wave. Tasks read the committed tallies immutably and
-            // publish into their own slot; the coordinator folds the slots
-            // back in stratum order at the barrier, so nothing about the
-            // result depends on scheduling.
-            let outcomes: Vec<Mutex<Option<WaveOutcome>>> =
-                quotas.iter().map(|_| Mutex::new(None)).collect();
-            let states_ref = &states;
-            pool.run_with(
-                quotas.len(),
-                |worker| {
-                    let mut ws = Workspace::new();
-                    ws.set_mac_tier(spec.mac_tier);
-                    if spec.batch > 0 {
-                        ws.install_golden(golden_key(self.trace), &self.trace.node_outputs);
-                    }
-                    (worker, ws)
-                },
-                |state, tidx| {
-                    let (_worker, ws) = state;
-                    if cancelled() {
-                        return;
-                    }
-                    let (sidx, quota) = quotas[tidx];
-                    let plan = &plans[sidx];
-                    let cat = cat_code(plan.category);
-                    let snapshot = states_ref[sidx].clone();
-                    let mut last: Option<FailureReason> = None;
-                    let mut done = None;
-                    for attempt in 0..max_attempts {
-                        // Each attempt restarts from the committed snapshot,
-                        // so a successful retry is bit-identical to a clean
-                        // first run of the wave.
-                        let mut tally = snapshot.clone();
-                        let run = catch_unwind(AssertUnwindSafe(|| {
-                            self.run_stratum_quota(
-                                &mut tally,
-                                plan,
-                                quota,
-                                progress.as_ref(),
-                                &metrics,
-                                &mut *ws,
-                            )
-                        }));
-                        match run {
-                            Ok(Ok(())) => {
-                                done = Some(tally);
-                                break;
-                            }
-                            Ok(Err(e)) => last = Some(FailureReason::Error(e.to_string())),
-                            Err(payload) => {
-                                last = Some(FailureReason::Panic(panic_text(&*payload)));
-                            }
-                        }
-                        if attempt + 1 < max_attempts {
-                            metrics.retries.inc();
-                            if let Some(p) = &progress {
-                                p.on_retry();
-                            }
-                            event!(
-                                "cell.retry",
-                                node = plan.node,
-                                cat = &cat,
-                                attempt = attempt + 1,
-                                reason = last.as_ref().map_or("", reason_kind),
-                            );
-                            let wait =
-                                spec.resilience
-                                    .retry_backoff
-                                    .delay(spec.seed, sidx, attempt + 1);
-                            if !sleep_unless(wait, cancelled) {
-                                break;
-                            }
-                        }
-                    }
-                    let outcome = match done {
-                        Some(tally) => WaveOutcome::Done(tally),
-                        None => WaveOutcome::Failed {
-                            attempts: max_attempts,
-                            reason: last.unwrap_or_else(|| {
-                                FailureReason::Error("stratum never ran".into())
-                            }),
-                        },
-                    };
-                    *lock(&outcomes[tidx]) = Some(outcome);
-                },
-            );
-
-            // Fold the wave at the barrier, in stratum order.
-            let mut block = WaveBlock {
-                index: wave,
-                rows: Vec::new(),
-                fails: Vec::new(),
-            };
-            let mut incomplete = false;
-            for (tidx, &(sidx, _)) in quotas.iter().enumerate() {
-                match lock(&outcomes[tidx]).take() {
-                    None => incomplete = true,
-                    Some(WaveOutcome::Done(tally)) => {
-                        block.rows.push((
-                            sidx,
-                            StratumRow {
-                                samples: tally.samples,
-                                masked: tally.masked,
-                                output_error: tally.output_error,
-                                anomaly: tally.anomaly,
-                                rng_state: tally.rng_state,
-                            },
-                        ));
-                        states[sidx] = tally;
-                    }
-                    Some(WaveOutcome::Failed { attempts, reason }) => {
-                        // The stratum freezes with its pre-wave tally: the
-                        // lost wave's partial samples are discarded (they
-                        // were never committed), its Wilson interval simply
-                        // stays at the committed width.
-                        states[sidx].frozen = true;
-                        total_failures += 1;
-                        let meta = &strata[sidx];
-                        event!(
-                            "cell.failed",
-                            node = meta.node,
-                            cat = &cat_code(meta.category),
-                            attempts = attempts,
-                            samples = states[sidx].samples,
-                            reason = reason_kind(&reason),
-                        );
-                        if let Some(p) = &progress {
-                            p.on_cell_failed();
-                        }
-                        block.fails.push(WaveFail {
-                            stratum: sidx,
-                            attempts,
-                            kind: reason_kind(&reason).to_owned(),
-                            message: match &reason {
-                                FailureReason::Error(m) | FailureReason::Panic(m) => m.clone(),
-                            },
-                        });
-                        failures.push((
-                            sidx,
-                            CellFailure {
-                                node: meta.node,
-                                layer: meta.layer.clone(),
-                                category: meta.category,
-                                attempts,
-                                samples_completed: states[sidx].samples,
-                                reason,
-                            },
-                        ));
-                    }
-                }
-            }
-            if incomplete {
-                // Cancelled mid-wave: nothing of this wave is committed, so
-                // the checkpoint on disk resumes from the last barrier.
-                if let Some(p) = &progress {
-                    p.finish();
-                }
-                let total: usize = states.iter().map(|t| t.samples).sum();
-                event!(
-                    "campaign.cancel",
-                    net = &net,
-                    waves = wave,
-                    injections = total
-                );
-                return Err(bad(format!(
-                    "adaptive campaign cancelled after {wave} waves ({total} injections)"
-                )));
-            }
-            if let Some(w) = &mut ckpt {
-                write_wave(w, &block).map_err(|e| io_err("wave write", e))?;
-                w.flush().map_err(|e| io_err("flush", e))?;
-            }
-            wave += 1;
-            if total_failures > spec.resilience.failure_budget {
-                if let Some(p) = &progress {
-                    p.finish();
-                }
-                return Err(bad(format!(
-                    "failure budget exhausted: {total_failures} cells failed (budget {})",
-                    spec.resilience.failure_budget
-                )));
-            }
-        }
-
-        // Build the certificate with the exact arithmetic the offline
-        // verifier replays, so `statcheck --cert` compares bit-for-bit.
-        let tallies: Vec<(usize, usize)> = states.iter().map(|t| (t.samples, t.masked)).collect();
-        let cert = build_certificate(fingerprint, &aplan, z, &strata, &tallies, wave);
-        if let Some(f) = &resumed_footer {
-            // A complete checkpoint must agree with its own data when
-            // recomputed — anything else is tampering or corruption.
-            if cert.total_bound.to_bits() != f.total_bound.to_bits()
-                || cert.total_injections != f.total_injections
-                || cert.converged != f.converged
-                || committed.len() != f.waves
-            {
-                return Err(bad(
-                    "corrupt adaptive checkpoint: stored certificate does not match \
-                     its own wave data"
-                        .into(),
-                ));
-            }
-        }
-        if let Some(w) = &mut ckpt {
-            write_cert_footer(
-                w,
-                &CertFooter {
-                    total_bound: cert.total_bound,
-                    total_injections: cert.total_injections,
-                    waves: wave,
-                    converged: cert.converged,
-                },
-            )
-            .map_err(|e| io_err("certificate write", e))?;
-            w.flush().map_err(|e| io_err("flush", e))?;
-        }
-        if let Some(p) = &progress {
-            p.finish();
-        }
-
-        let cells: Vec<CellStats> = strata
-            .iter()
-            .zip(&states)
-            .map(|(m, t)| CellStats {
-                node: m.node,
-                layer: m.layer.clone(),
-                category: m.category,
-                model: m.model,
-                samples: t.samples,
-                masked: t.masked,
-                output_error: t.output_error,
-                anomaly: t.anomaly,
-                events: Vec::new(),
-            })
-            .collect();
-        failures.sort_by_key(|&(idx, _)| idx);
-        let fast_divergence = self.measure_fast_divergence(&plans, &net);
-        let result = CampaignResult {
-            cells,
-            failures: failures.into_iter().map(|(_, f)| f).collect(),
-            fast_divergence,
-            certificate: Some(cert),
-        };
-        event!(
-            "campaign.finish",
-            net = &net,
-            cells = result.cells.len(),
-            injections = result.total_samples(),
-            waves = wave,
-            converged = result.certificate.as_ref().is_some_and(|c| c.converged),
-            failures = result.failures.len(),
-            elapsed_us = campaign_sw.elapsed_us().unwrap_or(0),
-        );
-        mirror(
-            "campaign.finish",
-            &[
-                ("cells", Value::U64(result.cells.len() as u64)),
-                ("injections", Value::U64(result.total_samples() as u64)),
-                ("waves", Value::U64(wave as u64)),
-                ("failures", Value::U64(result.failures.len() as u64)),
-                (
-                    "elapsed_us",
-                    Value::U64(campaign_sw.elapsed_us().unwrap_or(0)),
-                ),
-            ],
-        );
-        Ok(result)
-    }
-
-    /// Runs one wave quota for one stratum, continuing its RNG stream from
-    /// the committed tally. Sample indices are absolute (`tally.samples`
-    /// counts from the stratum's birth), so chaos triggers and the golden
-    /// re-ensure cadence line up with the fixed path's.
-    fn run_stratum_quota(
-        &self,
-        tally: &mut StratumTally,
-        plan: &CellPlan,
-        quota: usize,
-        progress: Option<&CampaignProgress>,
-        metrics: &CampaignMetrics,
-        ws: &mut Workspace,
-    ) -> Result<(), DnnError> {
-        let spec = &self.spec;
-        let kind = category_kind(plan.category);
-        let chaos = spec
-            .resilience
-            .chaos
-            .iter()
-            .find(|c| c.node == plan.node && c.category == plan.category);
-        let mut rng = SplitMix64::new(tally.rng_state);
-        let golden = (spec.batch > 0).then(|| golden_key(self.trace));
-        for j in 0..quota {
-            let i = tally.samples;
-            if let Some(key) = golden {
-                // `j == 0` additionally re-ensures at every wave entry: an
-                // absolute index mid-batch must still find the snapshot.
-                if (j == 0 || i.is_multiple_of(spec.batch)) && ws.golden_key() != Some(key) {
-                    ws.install_golden(key, &self.trace.node_outputs);
-                }
-            }
-            let deadline = spec.resilience.injection_deadline.map(|d| clock::now() + d);
-            apply_chaos(chaos, i, plan.node, plan.category);
-            let inj_sw = clock::Stopwatch::start_if(timing_enabled());
-            let inj = inject_once_pooled(
-                self.engine,
-                self.trace,
-                plan.node,
-                plan.model,
-                self.metric,
-                &mut rng,
-                deadline,
-                ws,
-            )?;
-            metrics.injection_ns.record_opt(inj_sw.elapsed_ns());
-            metrics.injections.inc();
-            tally.samples += 1;
-            match inj.outcome {
-                Outcome::Masked => tally.masked += 1,
-                Outcome::OutputError => tally.output_error += 1,
-                Outcome::SystemAnomaly => tally.anomaly += 1,
-            }
-            if inj.watchdog {
-                metrics.watchdog.inc();
-                event!("watchdog.fired", node = plan.node, sample = i);
-                if let Some(p) = progress {
-                    p.on_watchdog();
-                }
-            }
-            if let Some(p) = progress {
-                p.on_injection(kind, outcome_kind(inj.outcome));
-            }
-        }
-        tally.rng_state = rng.state();
-        Ok(())
+fn budget_exhausted(failed: usize, spec: &CampaignSpec) -> DnnError {
+    DnnError::Campaign {
+        message: format!(
+            "failure budget exhausted: {failed} cells failed (budget {})",
+            spec.resilience.failure_budget
+        ),
     }
 }
 
-/// The published result of one stratum's wave task: either the extended
-/// tally, or a failure that freezes the stratum at its pre-wave snapshot.
-enum WaveOutcome {
-    Done(StratumTally),
-    Failed {
-        attempts: usize,
-        reason: FailureReason,
-    },
-}
-
-/// A campaign runner with an explicit worker count, sharding cells over the
-/// `fidelity-par` work-stealing pool.
-///
-/// [`CampaignRunner`] already executes in parallel using `spec.threads`;
-/// this façade is the entry point for callers that choose the degree of
-/// parallelism at the call site (the CLI's `--jobs`, benchmarks sweeping
-/// worker counts, determinism tests comparing job counts). The determinism
-/// contract is identical either way: every cell derives its RNG stream from
-/// `(campaign seed, cell id)` alone, all shared accounting is commutative,
-/// and checkpoint records pass through the ordered commit buffer — so for
-/// any `jobs` value the results and checkpoint bytes are bit-identical to a
-/// serial run.
-pub struct ParallelCampaignRunner<'a> {
-    runner: CampaignRunner<'a>,
-    jobs: usize,
-}
-
-impl std::fmt::Debug for ParallelCampaignRunner<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Parallel{:?} jobs={}", self.runner, self.jobs)
+fn check_fingerprint(path: &Path, found: u64, expected: u64) -> Result<(), DnnError> {
+    if found == expected {
+        return Ok(());
     }
-}
-
-impl<'a> ParallelCampaignRunner<'a> {
-    /// Binds a campaign to its inputs; the worker count starts at
-    /// `spec.threads` and can be overridden with
-    /// [`ParallelCampaignRunner::with_jobs`].
-    pub fn new(
-        engine: &'a Engine,
-        trace: &'a Trace,
-        accel: &'a AcceleratorConfig,
-        metric: &'a dyn CorrectnessMetric,
-        spec: CampaignSpec,
-    ) -> Self {
-        let jobs = spec.threads.max(1);
-        ParallelCampaignRunner {
-            runner: CampaignRunner::new(engine, trace, accel, metric, spec),
-            jobs,
-        }
-    }
-
-    /// Sets the worker count (min 1). Results do not depend on it.
-    #[must_use]
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
-    }
-
-    /// The effective worker count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// The bound spec.
-    pub fn spec(&self) -> &CampaignSpec {
-        self.runner.spec()
-    }
-
-    /// Runs the campaign on `jobs` workers; semantics are exactly
-    /// [`CampaignRunner::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DnnError::Campaign`] when the failure budget is exhausted
-    /// or the checkpoint is unusable.
-    pub fn run(&self) -> Result<CampaignResult, DnnError> {
-        let resume = self
-            .runner
-            .spec
-            .resilience
-            .checkpoint
-            .as_ref()
-            .filter(|c| c.resume)
-            .map(|c| c.path.clone());
-        self.runner.execute(resume.as_deref(), self.jobs)
-    }
-
-    /// Resumes from `path` on `jobs` workers; semantics are exactly
-    /// [`CampaignRunner::resume_from`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`CampaignRunner::resume_from`].
-    pub fn resume_from(&self, path: &Path) -> Result<CampaignResult, DnnError> {
-        self.runner.execute(Some(path), self.jobs)
-    }
+    Err(DnnError::Campaign {
+        message: format!(
+            "checkpoint {} belongs to a different campaign \
+             (fingerprint {found:016x}, expected {expected:016x})",
+            path.display()
+        ),
+    })
 }
 
 /// Locks a mutex, recovering from poisoning: a worker that panicked inside
@@ -1865,15 +1546,8 @@ fn sleep_unless(total: std::time::Duration, interrupted: impl Fn() -> bool) -> b
     !interrupted()
 }
 
-/// Creates (or truncates) the checkpoint file, writes the header plus all
-/// already-completed cells in plan-index order, and marks those indices as
-/// pre-committed skips so the ordered cursor passes over them.
-fn open_checkpoint(
-    path: &Path,
-    fingerprint: u64,
-    interval: usize,
-    completed: &[Option<CellStats>],
-) -> Result<OrderedCommit, DnnError> {
+/// Creates (or truncates) a checkpoint file, creating its directory first.
+fn create_checkpoint(path: &Path) -> Result<BufWriter<File>, DnnError> {
     let io_err = |what: &str, e: std::io::Error| DnnError::Campaign {
         message: format!("checkpoint {what} failed for {}: {e}", path.display()),
     };
@@ -1883,7 +1557,21 @@ fn open_checkpoint(
         }
     }
     let file = File::create(path).map_err(|e| io_err("creation", e))?;
-    let mut writer = BufWriter::new(file);
+    Ok(BufWriter::new(file))
+}
+
+/// Creates the fixed-plan checkpoint, writes the header plus all
+/// already-completed cells in plan-index order, and marks those indices as
+/// pre-committed skips so the ordered cursor passes over them.
+fn open_checkpoint(
+    path: &Path,
+    fingerprint: u64,
+    completed: &[Option<CellStats>],
+) -> Result<OrderedCommit, DnnError> {
+    let io_err = |what: &str, e: std::io::Error| DnnError::Campaign {
+        message: format!("checkpoint {what} failed for {}: {e}", path.display()),
+    };
+    let mut writer = create_checkpoint(path)?;
     write_header(&mut writer, fingerprint).map_err(|e| io_err("header write", e))?;
     let mut pending = BTreeMap::new();
     for (idx, cell) in completed.iter().enumerate() {
@@ -1895,8 +1583,6 @@ fn open_checkpoint(
     writer.flush().map_err(|e| io_err("flush", e))?;
     let mut state = OrderedCommit {
         writer,
-        interval,
-        unflushed: 0,
         cursor: 0,
         pending,
     };
@@ -1979,7 +1665,6 @@ mod tests {
             seed: 7,
             threads: 4,
             record_events: false,
-            target_ci_halfwidth: None,
             resilience: ResilienceSpec::default(),
             progress: None,
             batch: 0,
@@ -2005,7 +1690,6 @@ mod tests {
                 seed: 99,
                 threads,
                 record_events: false,
-                target_ci_halfwidth: None,
                 resilience: Default::default(),
                 progress: None,
                 batch: 0,
@@ -2031,7 +1715,6 @@ mod tests {
             seed: 1,
             threads: 2,
             record_events: false,
-            target_ci_halfwidth: None,
             resilience: ResilienceSpec::default(),
             progress: None,
             batch: 0,
@@ -2046,47 +1729,6 @@ mod tests {
         {
             assert_eq!(cell.prob_swmask(), 0.0);
             assert_eq!(cell.anomaly, cell.samples);
-        }
-    }
-
-    #[test]
-    fn adaptive_sampling_stops_early_on_tight_ci() {
-        let (engine, trace) = tiny_engine();
-        let cfg = presets::nvdla_like();
-        let fixed = CampaignSpec {
-            samples_per_cell: 2000,
-            seed: 21,
-            threads: 2,
-            record_events: false,
-            target_ci_halfwidth: None,
-            resilience: ResilienceSpec::default(),
-            progress: None,
-            batch: 0,
-            mac_tier: MacTier::Bitwise,
-            adaptive: None,
-        };
-        let adaptive = CampaignSpec {
-            target_ci_halfwidth: Some(0.08),
-            ..fixed.clone()
-        };
-        let full = run_campaign(&engine, &trace, &cfg, &TopOneMatch, &fixed).unwrap();
-        let early = run_campaign(&engine, &trace, &cfg, &TopOneMatch, &adaptive).unwrap();
-        assert!(
-            early.total_samples() < full.total_samples(),
-            "adaptive should save samples: {} vs {}",
-            early.total_samples(),
-            full.total_samples()
-        );
-        // And the estimates agree within the combined CI slack.
-        for (a, b) in early.cells.iter().zip(&full.cells) {
-            assert_eq!(a.category, b.category);
-            assert!(
-                (a.prob_swmask() - b.prob_swmask()).abs() < 0.2,
-                "{}: {} vs {}",
-                a.category,
-                a.prob_swmask(),
-                b.prob_swmask()
-            );
         }
     }
 
@@ -2111,7 +1753,6 @@ mod tests {
             seed: 23,
             threads: 2,
             record_events: true,
-            target_ci_halfwidth: None,
             resilience: ResilienceSpec {
                 checkpoint: Some(ckpt),
                 cancel,
@@ -2180,7 +1821,6 @@ mod tests {
             seed: 13,
             threads: 8,
             record_events: false,
-            target_ci_halfwidth: None,
             resilience: ResilienceSpec::default(),
             progress: None,
             batch: 0,
@@ -2233,7 +1873,6 @@ mod tests {
             seed: 29,
             threads: 1,
             record_events: false,
-            target_ci_halfwidth: None,
             resilience: ResilienceSpec::default(),
             progress: None,
             batch: 0,
@@ -2257,9 +1896,11 @@ mod tests {
             },
         ];
         let message = |jobs: usize| {
-            ParallelCampaignRunner::new(&engine, &trace, &cfg, &TopOneMatch, spec.clone())
-                .with_jobs(jobs)
-                .run()
+            let spec = CampaignSpec {
+                threads: jobs,
+                ..spec.clone()
+            };
+            run_campaign(&engine, &trace, &cfg, &TopOneMatch, &spec)
                 .unwrap_err()
                 .to_string()
         };
@@ -2287,9 +1928,8 @@ mod tests {
             let spec = CampaignSpec {
                 samples_per_cell: 15,
                 seed: 41,
-                threads: 1,
+                threads: jobs,
                 record_events: true,
-                target_ci_halfwidth: None,
                 resilience: ResilienceSpec {
                     checkpoint: Some(CheckpointSpec::new(&path)),
                     ..ResilienceSpec::default()
@@ -2299,10 +1939,7 @@ mod tests {
                 mac_tier: MacTier::Bitwise,
                 adaptive: None,
             };
-            ParallelCampaignRunner::new(&engine, &trace, &cfg, &TopOneMatch, spec)
-                .with_jobs(jobs)
-                .run()
-                .unwrap();
+            run_campaign(&engine, &trace, &cfg, &TopOneMatch, &spec).unwrap();
             let data = std::fs::read(&path).unwrap();
             std::fs::remove_file(&path).ok();
             data
@@ -2362,6 +1999,66 @@ mod tests {
         }
     }
 
+    /// The adaptive plan's failure semantics: a stratum whose wave task
+    /// exhausts its retries freezes at its pre-wave tally (the lost wave's
+    /// partial samples are discarded) and is never allocated again, while
+    /// the rest of the campaign carries on and the checkpoint still
+    /// verifies offline.
+    #[test]
+    fn failed_adaptive_stratum_freezes_at_its_pre_wave_tally() {
+        use crate::adaptive::verify_checkpoint;
+        use crate::resilience::{ChaosMode, ChaosSpec, CheckpointSpec};
+        let (engine, trace) = tiny_engine();
+        let cfg = presets::nvdla_like();
+        let clean = CampaignSpec {
+            seed: 17,
+            threads: 2,
+            adaptive: Some(AdaptivePlan {
+                max_injections: 3_000,
+                ..AdaptivePlan::new(1e-9)
+            }),
+            ..CampaignSpec::default()
+        };
+        let reference = run_campaign(&engine, &trace, &cfg, &TopOneMatch, &clean).unwrap();
+        // The stratum the clean run grew most: wave 1 allocates it more than
+        // one sample, so a panic at its second post-floor sample fails that
+        // wave with one partial sample that must not be kept.
+        let victim = reference
+            .cells
+            .iter()
+            .max_by_key(|c| c.samples)
+            .unwrap()
+            .clone();
+        assert!(victim.samples > WAVE_FLOOR);
+
+        let path = scratch("adaptive-freeze.ackpt");
+        let mut chaotic = clean.clone();
+        chaotic.resilience.max_retries_per_cell = 0;
+        chaotic.resilience.checkpoint = Some(CheckpointSpec::new(&path));
+        chaotic.resilience.chaos = vec![ChaosSpec {
+            node: victim.node,
+            category: victim.category,
+            mode: ChaosMode::PanicAtSample(WAVE_FLOOR + 1),
+        }];
+        let result = run_campaign(&engine, &trace, &cfg, &TopOneMatch, &chaotic).unwrap();
+        assert_eq!(result.failures.len(), 1);
+        let failure = &result.failures[0];
+        assert_eq!(
+            (failure.node, failure.category),
+            (victim.node, victim.category)
+        );
+        assert_eq!(failure.samples_completed, WAVE_FLOOR);
+        let frozen = result
+            .cells
+            .iter()
+            .find(|c| c.node == victim.node && c.category == victim.category)
+            .unwrap();
+        assert_eq!(frozen.samples, WAVE_FLOOR, "partial wave samples leaked");
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        verify_checkpoint(std::io::BufReader::new(&bytes[..])).unwrap();
+    }
+
     /// The Fast-tier divergence metric is reported exactly when the Fast
     /// tier runs, and the Bitwise tier never fabricates one.
     #[test]
@@ -2406,7 +2103,6 @@ mod tests {
             seed: 3,
             threads: 1,
             record_events: true,
-            target_ci_halfwidth: None,
             resilience: ResilienceSpec::default(),
             progress: None,
             batch: 0,

@@ -86,13 +86,12 @@ impl Default for ResilienceSpec {
     }
 }
 
-/// Where and how often a campaign persists completed cells.
+/// Where a campaign persists its progress. Every committed record is
+/// flushed as it lands.
 #[derive(Debug, Clone)]
 pub struct CheckpointSpec {
     /// Checkpoint file path (conventionally `results/<campaign>.ckpt`).
     pub path: PathBuf,
-    /// Flush to disk every N completed cells (min 1).
-    pub interval_cells: usize,
     /// When set, an existing compatible checkpoint at `path` is loaded
     /// before running and only missing cells are executed. A missing file
     /// starts fresh; a checkpoint written for a different campaign
@@ -101,11 +100,10 @@ pub struct CheckpointSpec {
 }
 
 impl CheckpointSpec {
-    /// A write-only checkpoint at `path`, flushed after every cell.
+    /// A write-only checkpoint at `path`.
     pub fn new(path: impl Into<PathBuf>) -> Self {
         CheckpointSpec {
             path: path.into(),
-            interval_cells: 1,
             resume: false,
         }
     }
@@ -292,10 +290,10 @@ pub fn campaign_fingerprint(
     eat(&spec.seed.to_le_bytes());
     eat(&(spec.samples_per_cell as u64).to_le_bytes());
     eat(&[u8::from(spec.record_events)]);
-    eat(&spec
-        .target_ci_halfwidth
-        .map_or(u64::MAX, f64::to_bits)
-        .to_le_bytes());
+    // The retired per-cell Wilson stopping rule's `None` encoding: on-disk
+    // checkpoints depend on these bytes (as the serve journal's dedup keys
+    // depend on the job fingerprint's copy), so they stay.
+    eat(&u64::MAX.to_le_bytes());
     eat(spec.mac_tier.as_str().as_bytes());
     // Adaptive plan parameters are identity: epsilon/confidence/max decide
     // which injections run, so adaptive checkpoints only interchange between

@@ -382,8 +382,14 @@ mod tests {
         assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
 
+    /// Under the funnel plan every task starts on worker 0's deque, so a
+    /// task that runs on any other worker was stolen. Task 0 blocks until
+    /// such a task has run, which makes `stolen > 0` hold by construction
+    /// rather than racing busy work against thread start-up.
     #[test]
     fn funnel_forces_steals() {
+        use std::sync::mpsc;
+        use std::time::Duration;
         let pool = WorkStealPool::new(PoolSpec {
             workers: 4,
             seed: 1,
@@ -391,14 +397,23 @@ mod tests {
             cancel: None,
         });
         let counts: Vec<AtomicU32> = (0..512).map(|_| AtomicU32::new(0)).collect();
-        // Make each task slow enough that worker 0 cannot drain the funnel
-        // alone before the thief threads have even spawned.
-        let stats = pool.run(counts.len(), |i| {
-            for s in 0..20_000u64 {
-                std::hint::black_box(s.wrapping_mul(i as u64));
-            }
-            counts[i].fetch_add(1, Ordering::Relaxed);
-        });
+        let (stolen_ran, wait) = mpsc::channel();
+        let wait = Mutex::new(wait);
+        let stats = pool.run_with(
+            counts.len(),
+            |worker| worker,
+            |&mut worker, i| {
+                if worker != 0 {
+                    let _ = stolen_ran.send(());
+                }
+                if i == 0 {
+                    lock(&wait)
+                        .recv_timeout(Duration::from_secs(60))
+                        .expect("no stolen task ran within 60 s");
+                }
+                counts[i].fetch_add(1, Ordering::Relaxed);
+            },
+        );
         assert_eq!(stats.executed, 512);
         assert!(stats.stolen > 0, "funnel run must steal: {stats:?}");
         assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));

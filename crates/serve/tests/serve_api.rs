@@ -246,6 +246,19 @@ fn malformed_and_hostile_requests_get_clean_errors() {
         assert_eq!(reply.status, 400, "body `{body}` → {}", reply.body);
         assert!(reply.body.contains("\"error\""), "{}", reply.body);
     }
+    let reply = client
+        .request(
+            "POST",
+            "/campaigns",
+            Some("{\"network\":\"lstm\",\"target_ci\":0.05}"),
+        )
+        .unwrap();
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    assert!(
+        reply.body.contains("unknown field `target_ci`"),
+        "{}",
+        reply.body
+    );
 
     // Unknown routes and wrong methods.
     assert_eq!(client.request("GET", "/nope", None).unwrap().status, 404);
@@ -522,34 +535,50 @@ fn unparseable_recovered_spec_aborts_boot_and_preserves_the_journal() {
     // A journal whose records no longer parse (say, after a format change)
     // must abort recovery with the original journal intact on disk — not
     // truncate it first and lose durably journaled jobs.
-    let dir = scratch("bad-spec-journal");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("jobs.journal");
-    let mut journal = Journal::create(&path).unwrap();
-    journal
-        .append(&JournalEvent::Submit {
-            id: "deadbeef".to_owned(),
-            spec_json: r#"{"network":"vgg"}"#.to_owned(),
-        })
-        .unwrap();
-    drop(journal);
-    let before = std::fs::read(&path).unwrap();
+    // A record carrying a field the API has since dropped fails the same
+    // way, with the field named.
+    for (tag, spec_json, why) in [
+        (
+            "bad-spec-journal",
+            r#"{"network":"vgg"}"#,
+            "unknown network",
+        ),
+        (
+            "retired-field-journal",
+            r#"{"network":"lstm","target_ci":0.05}"#,
+            "journal job deadbeef: unknown field `target_ci`",
+        ),
+    ] {
+        let dir = scratch(tag);
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("jobs.journal");
+        let mut journal = Journal::create(&path).unwrap();
+        journal
+            .append(&JournalEvent::Submit {
+                id: "deadbeef".to_owned(),
+                spec_json: spec_json.to_owned(),
+            })
+            .unwrap();
+        drop(journal);
+        let before = std::fs::read(&path).unwrap();
 
-    let err = Supervisor::start(ServeConfig {
-        state_dir: dir,
-        queue_cap: 4,
-        workers: 1,
-        campaign_threads: 2,
-        chaos: Vec::new(),
-    })
-    .unwrap_err();
-    assert!(err.contains("deadbeef"), "{err}");
-    assert_eq!(
-        std::fs::read(&path).unwrap(),
-        before,
-        "failed boot rewrote the journal"
-    );
+        let err = Supervisor::start(ServeConfig {
+            state_dir: dir,
+            queue_cap: 4,
+            workers: 1,
+            campaign_threads: 2,
+            chaos: Vec::new(),
+        })
+        .unwrap_err();
+        assert!(err.contains("deadbeef"), "{err}");
+        assert!(err.contains(why), "{err}");
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            before,
+            "failed boot rewrote the journal"
+        );
+    }
 }
 
 fn summary_of(status: &str) -> String {

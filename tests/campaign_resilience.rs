@@ -59,7 +59,6 @@ fn spec(samples: usize, seed: u64) -> CampaignSpec {
         seed,
         threads: 2,
         record_events: true,
-        target_ci_halfwidth: None,
         resilience: ResilienceSpec::default(),
         progress: None,
         batch: 0,
