@@ -1,6 +1,8 @@
 //! Behaviour lock for the campaign engine: FNV digests of everything a
 //! campaign publishes, over {lstm, mobilenet} × {fp16, int8} × {fixed,
-//! adaptive} × jobs {1, 4}, compared against `tests/golden/behaviour_lock.txt`.
+//! adaptive} × jobs {1, 4}, plus fixed-plan rows for yolo (fp16) and resnet
+//! (int8) — the conv-heavy networks whose corrupted-layer evaluation is the
+//! bulk of an injection — compared against `tests/golden/behaviour_lock.txt`.
 //!
 //! Each row pins four artifacts:
 //! - `result`: every cell's tallies plus the failures list, and the bits of
@@ -25,7 +27,8 @@ use fidelity::core::resilience::CheckpointSpec;
 use fidelity::dnn::graph::Engine;
 use fidelity::dnn::precision::Precision;
 use fidelity::workloads::{
-    classification_suite, lstm_workload, BleuThreshold, Workload, WorkloadKind,
+    classification_suite, lstm_workload, yolo_workload, BleuThreshold, DetectionThreshold,
+    Workload, WorkloadKind,
 };
 
 const GOLDEN: &str = include_str!("golden/behaviour_lock.txt");
@@ -49,7 +52,9 @@ impl Drop for Scratch {
 fn workload(net: &str) -> Workload {
     match net {
         "lstm" => lstm_workload(42),
+        "resnet" => classification_suite(42).remove(1),
         "mobilenet" => classification_suite(42).remove(2),
+        "yolo" => yolo_workload(42),
         other => unreachable!("no workload {other}"),
     }
 }
@@ -59,7 +64,8 @@ fn row(net: &str, precision: Precision, adaptive: bool, jobs: usize) -> String {
     let w = workload(net);
     let metric: Box<dyn CorrectnessMetric> = match w.kind {
         WorkloadKind::Translation => Box::new(BleuThreshold::ten_percent()),
-        _ => Box::new(TopOneMatch),
+        WorkloadKind::Detection => Box::new(DetectionThreshold::ten_percent()),
+        WorkloadKind::Classification => Box::new(TopOneMatch),
     };
     let engine = Engine::new(w.network, precision, std::slice::from_ref(&w.inputs)).unwrap();
     let trace = engine.trace(&w.inputs).unwrap();
@@ -127,6 +133,12 @@ fn campaign_artifacts_match_the_behaviour_lock() {
                     actual.push('\n');
                 }
             }
+        }
+    }
+    for (net, precision) in [("yolo", Precision::Fp16), ("resnet", Precision::Int8)] {
+        for jobs in [1, 4] {
+            actual.push_str(&row(net, precision, false, jobs));
+            actual.push('\n');
         }
     }
     assert!(
