@@ -4,7 +4,9 @@
 //!
 //! Before any timing, every MAC layer of the workload is self-checked: the
 //! packed kernels must reproduce `compute_at` bit-for-bit, so a perf
-//! regression can never silently buy speed with accuracy. The measured
+//! regression can never silently buy speed with accuracy. The fault models'
+//! corrupted-layer evaluator (`compute_neurons`) is held to the same oracle
+//! under substitution on every MAC layer of every network. The measured
 //! numbers (mean/best ns per injection for the pooled and allocating paths,
 //! per-layer kernel throughput, workspace pool hit rate) are merged into
 //! `BENCH_injection.json` at the workspace root. `FIDELITY_BENCH_QUICK=1`
@@ -22,13 +24,14 @@ use fidelity_core::outcome::TopOneMatch;
 use fidelity_core::validate::{random_sites, rtl_layer_for};
 use fidelity_dnn::graph::{golden_key, Engine, Trace};
 use fidelity_dnn::init::SplitMix64;
-use fidelity_dnn::macspec::{MacSpec, MacTier, Operands};
+use fidelity_dnn::macspec::{KernelScratch, MacTier, OperandKind, Operands, Substitution};
 use fidelity_dnn::precision::Precision;
-use fidelity_dnn::tensor::Tensor;
 use fidelity_dnn::workspace::Workspace;
 use fidelity_obs::json::Json;
 use fidelity_rtl::{Disturbance, RtlEngine};
-use fidelity_workloads::classification_suite;
+use fidelity_workloads::{
+    classification_suite, lstm_workload, transformer_workload, yolo_workload,
+};
 
 /// The largest MAC layer: the representative injection target.
 fn target_node(engine: &Engine, trace: &Trace) -> usize {
@@ -41,20 +44,7 @@ fn target_node(engine: &Engine, trace: &Trace) -> usize {
 /// The operand pair of a MAC node (MatMul takes both from the trace; Conv
 /// and Dense keep their weight in the layer).
 fn operands_for<'a>(engine: &'a Engine, trace: &'a Trace, node: usize) -> Operands<'a> {
-    let spec = engine.mac_spec(node, trace).expect("MAC node");
-    let input = engine.node_input_at(node, 0, trace);
-    let weight: &Tensor = if matches!(spec, MacSpec::MatMul(_)) {
-        engine.node_input_at(node, 1, trace)
-    } else {
-        engine
-            .network()
-            .layer(node)
-            .weights()
-            .into_iter()
-            .next()
-            .expect("MAC layer has a weight")
-    };
-    Operands { input, weight }
+    engine.mac_operands(node, trace).expect("MAC node")
 }
 
 /// Asserts that the packed kernels reproduce the per-neuron reference path
@@ -92,6 +82,66 @@ fn kernel_self_check(engine: &Engine, trace: &Trace) -> usize {
             );
         }
         checked += 1;
+    }
+    checked
+}
+
+/// Asserts that the fault models' corrupted-layer evaluator
+/// (`compute_neurons`) reproduces the scalar `compute_at` oracle on every
+/// MAC layer of every network: per layer, substitutions in both operands
+/// with NaN, ∞, −0, subnormal and ordinary faulty values, each over the
+/// element's full use set. NaN payloads may differ (see `MacTier`). Returns
+/// the number of layers checked.
+fn evaluator_self_check() -> usize {
+    const FAULTY: [f32; 5] = [f32::NAN, f32::INFINITY, -0.0, 1.0e-40, 3.0];
+    let mut workloads = classification_suite(42);
+    workloads.extend([
+        yolo_workload(42),
+        transformer_workload(42),
+        lstm_workload(42),
+    ]);
+    let mut scratch = KernelScratch::new();
+    let mut checked = 0;
+    for workload in workloads {
+        let network = workload.name.clone();
+        let (engine, trace) = fidelity_bench::deploy(workload, Precision::Fp16);
+        for node in 0..engine.network().node_count() {
+            let Some(spec) = engine.mac_spec(node, &trace) else {
+                continue;
+            };
+            let operands = operands_for(&engine, &trace, node);
+            for kind in [OperandKind::Input, OperandKind::Weight] {
+                let len = match kind {
+                    OperandKind::Input => operands.input.len(),
+                    OperandKind::Weight => operands.weight.len(),
+                };
+                for (i, value) in FAULTY.into_iter().enumerate() {
+                    // Spread the substituted elements over the operand.
+                    let offset = (i * len) / FAULTY.len() + i;
+                    let subst = Substitution {
+                        kind,
+                        offset: offset.min(len - 1),
+                        value,
+                    };
+                    let users = match kind {
+                        OperandKind::Input => spec.neurons_using_input(subst.offset),
+                        OperandKind::Weight => spec.neurons_using_weight(subst.offset),
+                    };
+                    let mut got = vec![0.0f32; users.len()];
+                    spec.compute_neurons(&operands, &subst, &users, &mut got, &mut scratch);
+                    for (&off, &v) in users.iter().zip(&got) {
+                        let want = spec.compute_at(&operands, off, Some(&subst));
+                        assert!(
+                            v.to_bits() == want.to_bits() || (v.is_nan() && want.is_nan()),
+                            "compute_neurons/compute_at mismatch: {network} node {node} ({}) \
+                             offset {off} under {subst:?}: {v} != {want}",
+                            engine.network().layer(node).name(),
+                        );
+                    }
+                }
+            }
+            checked += 1;
+        }
     }
     checked
 }
@@ -418,6 +468,10 @@ fn main() {
     // kernels are proven identical to the reference accumulation.
     let checked = kernel_self_check(&engine, &trace);
     eprintln!("kernel self-check: {checked} MAC layers bitwise-identical to compute_at");
+    let checked = evaluator_self_check();
+    eprintln!(
+        "evaluator self-check: {checked} MAC layers of every network match compute_at under substitution"
+    );
 
     let node = target_node(&engine, &trace);
     let (inj_reps, kern_reps) = if quick { (20, 3) } else { (200, 20) };

@@ -13,6 +13,7 @@ use fidelity_dnn::init::SplitMix64;
 use fidelity_dnn::tensor::Tensor;
 use fidelity_dnn::workspace::Workspace;
 use fidelity_dnn::DnnError;
+use fidelity_obs::{prof, timing_enabled};
 
 use crate::models::{apply_model_sparse, SoftwareFaultModel, SparseEffect};
 use crate::outcome::{CorrectnessMetric, Outcome};
@@ -125,7 +126,15 @@ fn inject_once_core(
     // Monotonic watchdog deadline check via the obs clock (the workspace's
     // sanctioned wall-clock site); never feeds campaign statistics.
     let expired = || deadline.is_some_and(|d| fidelity_obs::clock::now() >= d);
-    let injection = match apply_model_sparse(model, engine, trace, node, rng)? {
+    // The injection's two phases for `--profile`: evaluating the corrupted
+    // layer, then propagating and classifying it. Gated like the campaign's
+    // `injection_ns` histogram, so an unprofiled run pays one relaxed load.
+    let timed = timing_enabled();
+    let apply_scope = timed.then(|| prof::scope("inject.apply"));
+    let effect = apply_model_sparse(model, engine, trace, node, rng, ws)?;
+    drop(apply_scope);
+    let _walk_scope = timed.then(|| prof::scope("inject.walk"));
+    let injection = match effect {
         SparseEffect::Masked => Injection {
             outcome: Outcome::Masked,
             faulty_neurons: 0,

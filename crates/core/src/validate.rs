@@ -17,7 +17,7 @@
 
 use fidelity_accel::ff::FfCategory;
 use fidelity_dnn::init::SplitMix64;
-use fidelity_dnn::macspec::{OperandKind, Operands, Substitution};
+use fidelity_dnn::macspec::{KernelScratch, OperandKind, Operands, Substitution};
 use fidelity_rtl::{Disturbance, FaultSite, FfId, ObservedFault, RtlEngine, SchedPoint};
 
 /// The software fault model's prediction for one concrete fault site.
@@ -252,16 +252,21 @@ fn operand_prediction_for(
         offset: elem,
         value: faulty,
     };
-    let mut offsets = Vec::new();
-    let mut values = Vec::new();
-    for off in neurons {
-        let v = layer
-            .output_codec
-            .quantize(layer.spec.compute_at(operands, off, Some(&subst)));
-        offsets.push(off);
-        values.push(Some(v));
-    }
-    finish_neurons(engine, offsets, values)
+    // The campaign's evaluator, checked here against the independent
+    // cycle-level simulator.
+    let mut raw = vec![0.0f32; neurons.len()];
+    layer.spec.compute_neurons(
+        operands,
+        &subst,
+        &neurons,
+        &mut raw,
+        &mut KernelScratch::new(),
+    );
+    let values = raw
+        .into_iter()
+        .map(|v| Some(layer.output_codec.quantize(v)))
+        .collect();
+    finish_neurons(engine, neurons, values)
 }
 
 /// Filters out neurons whose predicted value equals the clean value (those
@@ -318,27 +323,17 @@ pub fn rtl_layer_for(
 ) -> Option<fidelity_rtl::RtlLayer> {
     use fidelity_dnn::macspec::MacSpec;
     let spec = engine.mac_spec(node, trace)?;
-    let inputs = engine.node_inputs(node, trace);
-    let input_codecs = engine.node_input_codecs(node);
-    let (weight, weight_codec) = if matches!(spec, MacSpec::MatMul(_)) {
-        ((*inputs.get(1)?).clone(), *input_codecs.get(1)?)
+    let operands = engine.mac_operands(node, trace)?;
+    let weight_codec = if matches!(spec, MacSpec::MatMul(_)) {
+        engine.node_input_codec_at(node, 1)
     } else {
-        (
-            engine
-                .network()
-                .layer(node)
-                .weights()
-                .first()?
-                .to_owned()
-                .clone(),
-            engine.weight_codec(node, 0)?,
-        )
+        engine.weight_codec(node, 0)?
     };
     fidelity_rtl::RtlLayer::new(
         spec,
-        (*inputs.first()?).clone(),
-        weight,
-        *input_codecs.first()?,
+        operands.input.clone(),
+        operands.weight.clone(),
+        engine.node_input_codec_at(node, 0),
         weight_codec,
         engine.node_codec(node),
     )

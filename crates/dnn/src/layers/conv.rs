@@ -149,6 +149,10 @@ impl Layer for Conv2d {
         vec![&self.weight]
     }
 
+    fn mac_weight(&self) -> Option<&Tensor> {
+        Some(&self.weight)
+    }
+
     fn forward(&self, inputs: &[&Tensor], ws: &mut Workspace) -> Result<Tensor, DnnError> {
         check_arity(&self.name, 1, inputs.len())?;
         let c = self.spec_for(inputs[0].shape())?;

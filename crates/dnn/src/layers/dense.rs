@@ -88,6 +88,10 @@ impl Layer for Dense {
         vec![&self.weight]
     }
 
+    fn mac_weight(&self) -> Option<&Tensor> {
+        Some(&self.weight)
+    }
+
     fn forward(&self, inputs: &[&Tensor], ws: &mut Workspace) -> Result<Tensor, DnnError> {
         check_arity(&self.name, 1, inputs.len())?;
         let d = self.spec_for(inputs[0].shape())?;

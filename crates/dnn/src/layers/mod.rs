@@ -92,6 +92,13 @@ pub trait Layer: Send + Sync {
         Vec::new()
     }
 
+    /// The weight operand of a Conv / Dense MAC layer — the first entry of
+    /// [`Layer::weights`], without allocating. `None` for every other layer
+    /// (a MatMul takes its second operand from the graph).
+    fn mac_weight(&self) -> Option<&Tensor> {
+        None
+    }
+
     /// Runs the layer, drawing the output tensor and any temporaries from
     /// `ws` so hot loops (campaign injections) never touch the global
     /// allocator in steady state. Pooling never affects values — outputs are

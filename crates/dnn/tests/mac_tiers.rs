@@ -6,10 +6,13 @@
 //! input class, including NaN, ±∞, denormals and signed zeros. The `Fast`
 //! tier (4-lane in-contraction tree reduction) is allowed to diverge, but
 //! its reported divergence must be an exact measurement, not an estimate.
+//! The multi-neuron fault evaluator `compute_neurons` is held to the same
+//! oracle under every substitution, neuron set and geometry.
 
 use fidelity_dnn::init::SplitMix64;
 use fidelity_dnn::macspec::{
-    conv_out_window, ConvSpec, DenseSpec, KernelScratch, MacSpec, MacTier, MatMulSpec, Operands,
+    conv_out_window, ConvSpec, DenseSpec, KernelScratch, MacSpec, MacTier, MatMulSpec, OperandKind,
+    Operands, Substitution,
 };
 use fidelity_dnn::tensor::Tensor;
 use proptest::prelude::*;
@@ -374,4 +377,204 @@ fn fast_divergence_pinned_cancellation_case() {
         weight: &weight,
     };
     assert_eq!(spec.fast_divergence(&ops), 0.0);
+}
+
+/// Values a bit flip can produce that stress the evaluator: NaN, ±∞, both
+/// signed zeros and subnormals.
+const FAULTY_VALUES: [f32; 7] = [
+    f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    -0.0,
+    0.0,
+    1.0e-40,
+    -1.0e-42,
+];
+
+/// A dataflow reuse window of `users`, the shape `select_window` hands the
+/// evaluator: up to `positions` consecutive positions from a random user's
+/// position onward, times the aligned block of `channels` channels holding
+/// that user's channel.
+fn window_of(spec: &MacSpec, users: &[usize], rng: &mut SplitMix64) -> Vec<usize> {
+    if users.is_empty() {
+        return Vec::new();
+    }
+    let (p0, c0) = spec.coords_of(users[rng.next_below(users.len() as u64) as usize]);
+    let positions = 1 + rng.next_below(4) as usize;
+    let channels = [1, 4, 8, 16][rng.next_below(4) as usize];
+    users
+        .iter()
+        .copied()
+        .filter(|&off| {
+            let (p, c) = spec.coords_of(off);
+            p >= p0 && p < p0 + positions && c / channels == c0 / channels
+        })
+        .collect()
+}
+
+/// Asserts `compute_neurons` matches the scalar oracle on adversarial
+/// operands, for substitutions in both operands with adversarial faulty
+/// values, over the neuron sets a fault model produces — the full use set
+/// and a dataflow window of it — plus a random subset in ascending and in
+/// descending order, every neuron of the layer, and the empty set.
+fn assert_compute_neurons_matches_oracle(spec: &MacSpec, seed: u64) -> Result<(), TestCaseError> {
+    let (in_shape, w_shape) = operand_shapes(spec);
+    let input = adversarial_tensor(seed, in_shape);
+    let weight = adversarial_tensor(seed ^ 0x0BAD_CAFE, w_shape);
+    let ops = Operands {
+        input: &input,
+        weight: &weight,
+    };
+    let mut rng = SplitMix64::new(seed ^ 0xFA17);
+    let mut scratch = KernelScratch::new();
+    for kind in [OperandKind::Input, OperandKind::Weight] {
+        let len = match kind {
+            OperandKind::Input => input.len(),
+            OperandKind::Weight => weight.len(),
+        };
+        for _ in 0..3 {
+            let offset = rng.next_below(len as u64) as usize;
+            let value = match rng.next_below(FAULTY_VALUES.len() as u64 + 2) as usize {
+                i if i < FAULTY_VALUES.len() => FAULTY_VALUES[i],
+                _ => rng.next_symmetric(8.0),
+            };
+            let subst = Substitution {
+                kind,
+                offset,
+                value,
+            };
+            let users = match kind {
+                OperandKind::Input => spec.neurons_using_input(offset),
+                OperandKind::Weight => spec.neurons_using_weight(offset),
+            };
+            let window = window_of(spec, &users, &mut rng);
+            let subset: Vec<usize> = (0..spec.out_len())
+                .filter(|_| rng.next_below(3) == 0)
+                .collect();
+            let every: Vec<usize> = (0..spec.out_len()).collect();
+            let reversed: Vec<usize> = subset.iter().rev().copied().collect();
+            for set in [&users, &window, &subset, &reversed, &every, &Vec::new()] {
+                let mut out = vec![0.0f32; set.len()];
+                spec.compute_neurons(&ops, &subst, set, &mut out, &mut scratch);
+                for (&off, &v) in set.iter().zip(&out) {
+                    let oracle = spec.compute_at(&ops, off, Some(&subst));
+                    prop_assert_eq!(
+                        canon_bits(v),
+                        canon_bits(oracle),
+                        "compute_neurons != compute_at at neuron {} under {:?} ({:?})",
+                        off,
+                        subst,
+                        spec
+                    );
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Conv over stride, padding, dilation and groups (depthwise included),
+    /// each independent per axis; `out_c` per group crosses the 8-lane
+    /// boundary of the channel lanes, `in_w` that of the column lanes.
+    #[test]
+    fn conv_compute_neurons_is_bit_identical(
+        in_c_per_group in 1usize..4,
+        out_c_per_group in 1usize..11,
+        groups in 1usize..4,
+        depthwise in prop_oneof![Just(false), Just(true)],
+        in_h in 1usize..8,
+        in_w in 1usize..12,
+        kh in 1usize..4,
+        kw in 1usize..4,
+        stride in (1usize..3, 1usize..3),
+        padding in (0usize..3, 0usize..3),
+        dilation in (1usize..3, 1usize..3),
+        seed in 0u64..u64::MAX,
+    ) {
+        let (icg, ocg) = if depthwise { (1, 1) } else { (in_c_per_group, out_c_per_group) };
+        let spec = MacSpec::Conv(ConvSpec {
+            batch: 1 + (seed % 2) as usize,
+            in_c: icg * groups,
+            in_h,
+            in_w,
+            out_c: ocg * groups,
+            kh,
+            kw,
+            stride,
+            padding,
+            dilation,
+            groups,
+        });
+        assert_compute_neurons_matches_oracle(&spec, seed)?;
+    }
+
+    /// Dense; `out_features` crosses the 8-lane boundary.
+    #[test]
+    fn dense_compute_neurons_is_bit_identical(
+        batch in 1usize..4,
+        in_features in 1usize..30,
+        out_features in 1usize..20,
+        seed in 0u64..u64::MAX,
+    ) {
+        let spec = MacSpec::Dense(DenseSpec { batch, in_features, out_features });
+        assert_compute_neurons_matches_oracle(&spec, seed)?;
+    }
+
+    /// MatMul with and without `transpose_b`.
+    #[test]
+    fn matmul_compute_neurons_is_bit_identical(
+        batch in 1usize..3,
+        m in 1usize..6,
+        k in 1usize..20,
+        n in 1usize..19,
+        transpose_b in prop_oneof![Just(false), Just(true)],
+        seed in 0u64..u64::MAX,
+    ) {
+        let spec = MacSpec::MatMul(MatMulSpec { batch, m, k, n, transpose_b });
+        assert_compute_neurons_matches_oracle(&spec, seed)?;
+    }
+
+    /// `neurons_using_input` on conv equals the brute-force scan: every
+    /// neuron with a kernel step reading the element, in ascending order.
+    #[test]
+    fn conv_input_users_match_brute_force(
+        in_c_per_group in 1usize..3,
+        out_c_per_group in 1usize..4,
+        groups in 1usize..4,
+        in_h in 1usize..9,
+        in_w in 1usize..9,
+        kh in 1usize..4,
+        kw in 1usize..4,
+        stride in (1usize..4, 1usize..4),
+        padding in (0usize..3, 0usize..3),
+        dilation in (1usize..3, 1usize..3),
+        seed in 0u64..u64::MAX,
+    ) {
+        let spec = MacSpec::Conv(ConvSpec {
+            batch: 1 + (seed % 2) as usize,
+            in_c: in_c_per_group * groups,
+            in_h,
+            in_w,
+            out_c: out_c_per_group * groups,
+            kh,
+            kw,
+            stride,
+            padding,
+            dilation,
+            groups,
+        });
+        let in_len = operand_shapes(&spec).0.iter().product::<usize>();
+        for elem in 0..in_len {
+            let brute: Vec<usize> = (0..spec.out_len())
+                .filter(|&off| {
+                    (0..spec.kernel_steps())
+                        .any(|st| spec.term_offsets(off, st).is_some_and(|(i, _)| i == elem))
+                })
+                .collect();
+            prop_assert_eq!(spec.neurons_using_input(elem), brute, "input {} of {:?}", elem, spec);
+        }
+    }
 }

@@ -14,8 +14,11 @@
 //! sanctioned wall-clock site); enabling is a run-time switch
 //! ([`set_enabled`]), not a rebuild. Per-thread stacks are thread-local,
 //! so the only shared state is the aggregate table, locked once per scope
-//! *exit* — profiled phases are coarse (campaign phases, supervisor
-//! steps), so that lock is far off any per-injection path.
+//! *exit*. Most profiled phases are coarse (campaign phases, supervisor
+//! steps). The exception is the injection's own `inject.apply` /
+//! `inject.walk` split, two exits per injection: those scopes are opened
+//! only when timing is on too, so they cost nothing unless a run asked for
+//! a profile.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;

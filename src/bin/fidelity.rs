@@ -175,7 +175,8 @@ networks: inception | resnet | mobilenet | yolo | transformer | lstm";
 const BARE_FLAGS: &[&str] = &["resume", "progress", "metrics", "smoke", "once", "adaptive"];
 
 /// Applies the shared telemetry flags before the command runs: `--trace FILE`
-/// installs the JSONL sink, `--metrics` enables timing instrumentation.
+/// installs the JSONL sink, `--metrics` enables timing instrumentation, and
+/// `--profile FILE` enables timing and the phase profiler.
 fn setup_telemetry(opts: &HashMap<String, String>) -> Result<(), String> {
     if let Some(path) = opts.get("trace") {
         fidelity::obs::install_jsonl_sink(std::path::Path::new(path))
@@ -185,6 +186,9 @@ fn setup_telemetry(opts: &HashMap<String, String>) -> Result<(), String> {
         fidelity::obs::set_timing(true);
     }
     if opts.contains_key("profile") {
+        // The per-injection phase scopes are gated on timing, like every
+        // other duration measurement.
+        fidelity::obs::set_timing(true);
         fidelity::obs::prof::set_enabled(true);
     }
     Ok(())
