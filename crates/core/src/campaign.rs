@@ -130,13 +130,55 @@ pub struct InjectionEvent {
     pub outcome: Outcome,
 }
 
+/// The recorded injections of one cell: empty, and one pointer wide,
+/// unless `record_events` is set. Campaign results are kept per run (a
+/// benchmark keeps one per round), and a plain `Vec` would add two words to
+/// every cell of every result.
+// The box is the point: one pointer inline instead of a `Vec`'s three
+// words, paid for with one extra allocation only when events are recorded.
+#[allow(clippy::box_collection)]
+#[derive(Debug, Clone, Default)]
+pub struct CellEvents(Option<Box<Vec<InjectionEvent>>>);
+
+impl CellEvents {
+    /// Appends one event.
+    pub fn push(&mut self, event: InjectionEvent) {
+        self.0.get_or_insert_with(Box::default).push(event);
+    }
+}
+
+impl std::ops::Deref for CellEvents {
+    type Target = [InjectionEvent];
+
+    fn deref(&self) -> &[InjectionEvent] {
+        self.0.as_deref().map_or(&[], Vec::as_slice)
+    }
+}
+
+impl<'a> IntoIterator for &'a CellEvents {
+    type Item = &'a InjectionEvent;
+    type IntoIter = std::slice::Iter<'a, InjectionEvent>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl From<Vec<InjectionEvent>> for CellEvents {
+    fn from(events: Vec<InjectionEvent>) -> Self {
+        CellEvents((!events.is_empty()).then(|| Box::new(events)))
+    }
+}
+
 /// Outcome tally of one (layer × category) cell.
 #[derive(Debug, Clone)]
 pub struct CellStats {
     /// Target node index.
     pub node: usize,
-    /// Target layer name.
-    pub layer: String,
+    /// Target layer name, shared by every cell of the layer (a campaign
+    /// result is kept per run, so one allocation per layer rather than per
+    /// cell).
+    pub layer: Arc<str>,
     /// FF category.
     pub category: FfCategory,
     /// The software fault model applied.
@@ -150,7 +192,7 @@ pub struct CellStats {
     /// System anomalies.
     pub anomaly: usize,
     /// Per-injection events (empty unless requested).
-    pub events: Vec<InjectionEvent>,
+    pub events: CellEvents,
 }
 
 impl CellStats {
@@ -203,6 +245,15 @@ impl CampaignResult {
             .map(CellStats::prob_swmask)
     }
 
+    /// The shared name of node `node`'s layer, when the campaign has a
+    /// cell on it.
+    pub fn layer_name(&self, node: usize) -> Option<Arc<str>> {
+        self.cells
+            .iter()
+            .find(|c| c.node == node)
+            .map(|c| Arc::clone(&c.layer))
+    }
+
     /// Target node indices covered by the campaign.
     pub fn nodes(&self) -> Vec<usize> {
         let mut v: Vec<usize> = self.cells.iter().map(|c| c.node).collect();
@@ -243,6 +294,7 @@ pub fn run_campaign(
 /// One planned (node, category) cell.
 struct CellPlan {
     node: usize,
+    layer: Arc<str>,
     category: FfCategory,
     model: SoftwareFaultModel,
 }
@@ -617,10 +669,12 @@ impl<'a> CampaignRunner<'a> {
             .collect();
         let mut plans = Vec::new();
         for &node in &mac_nodes {
+            let layer: Arc<str> = Arc::from(self.engine.network().layer(node).name());
             for (category, _) in self.accel.census.iter() {
                 if let Some(model) = model_for(category, self.accel) {
                     plans.push(CellPlan {
                         node,
+                        layer: Arc::clone(&layer),
                         category,
                         model,
                     });
@@ -807,7 +861,7 @@ impl<'a> CampaignRunner<'a> {
                             idx,
                             CellFailure {
                                 node: plan.node,
-                                layer: partial.layer.clone(),
+                                layer: partial.layer.to_string(),
                                 category: plan.category,
                                 attempts,
                                 samples_completed: partial.samples,
@@ -1344,14 +1398,14 @@ impl<'a> CampaignRunner<'a> {
         Tally {
             stats: CellStats {
                 node: plan.node,
-                layer: self.engine.network().layer(plan.node).name().to_owned(),
+                layer: Arc::clone(&plan.layer),
                 category: plan.category,
                 model: plan.model,
                 samples: 0,
                 masked: 0,
                 output_error: 0,
                 anomaly: 0,
-                events: Vec::new(),
+                events: CellEvents::default(),
             },
             rng_state: self.spec.seed
                 ^ (plan.node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -1654,6 +1708,14 @@ mod tests {
         let x = uniform_tensor(3, vec![1, 2, 6, 6], 1.0);
         let trace = engine.trace(&[x]).unwrap();
         (engine, trace)
+    }
+
+    /// Results are kept per run (a campaign bench holds one per round), so
+    /// a cell stays ten words: shared name, boxed events, `u32` windows.
+    #[test]
+    fn cell_stats_stay_compact() {
+        assert_eq!(std::mem::size_of::<CellEvents>(), 8);
+        assert!(std::mem::size_of::<CellStats>() <= 80);
     }
 
     #[test]

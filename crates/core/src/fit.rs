@@ -3,6 +3,7 @@
 
 use fidelity_accel::arch::AcceleratorConfig;
 use fidelity_accel::ff::FfCategory;
+use std::sync::Arc;
 
 /// The raw flip-flop FIT rate the paper uses: 600 FIT per MB of flip-flops,
 /// from 40nm alpha-particle measurements (Jagannathan et al.).
@@ -37,8 +38,8 @@ pub struct CategoryTerm {
 /// One layer's contribution inputs to Eq. 2.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerTerm {
-    /// Layer name (reporting only).
-    pub name: String,
+    /// Layer name (reporting only), shared with the campaign's cells.
+    pub name: Arc<str>,
     /// `exec_time(r)` in cycles (only the ratios matter).
     pub exec_cycles: u64,
     /// Per-category masking terms.
@@ -103,10 +104,7 @@ pub fn accelerator_fit_rate(
         }
     }
 
-    let mut breakdown = FitBreakdown {
-        per_category: per_category.clone(),
-        ..FitBreakdown::default()
-    };
+    let mut breakdown = FitBreakdown::default();
     for (cat, v) in &per_category {
         breakdown.total += v;
         match cat {
@@ -115,6 +113,8 @@ pub fn accelerator_fit_rate(
             FfCategory::GlobalControl => breakdown.global += v,
         }
     }
+    per_category.shrink_to_fit();
+    breakdown.per_category = per_category;
     breakdown
 }
 

@@ -121,7 +121,7 @@ mod tests {
                 masked: 50,
                 output_error: 50,
                 anomaly: 0,
-                events: vec![],
+                events: Default::default(),
             }],
             failures: vec![],
             fast_divergence: None,

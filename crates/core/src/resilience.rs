@@ -26,6 +26,7 @@
 
 use std::io::{self, BufRead, Write};
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 use fidelity_accel::ff::{FfCategory, PipelineStage, VarType};
@@ -34,7 +35,7 @@ use fidelity_dnn::macspec::OperandKind;
 use fidelity_dnn::DnnError;
 use fidelity_par::CancelToken;
 
-use crate::campaign::{CampaignSpec, CellStats, InjectionEvent};
+use crate::campaign::{CampaignSpec, CellEvents, CellStats, InjectionEvent};
 use crate::models::{OperandWindow, SoftwareFaultModel};
 use crate::outcome::Outcome;
 
@@ -482,7 +483,7 @@ fn parse_cell_line(rest: &str) -> Option<(usize, CellStats, usize)> {
     let output_error: usize = it.next()?.parse().ok()?;
     let anomaly: usize = it.next()?.parse().ok()?;
     let nevents: usize = it.next()?.parse().ok()?;
-    let layer = it.next()?.to_owned();
+    let layer = Arc::from(it.next()?);
     Some((
         idx,
         CellStats {
@@ -494,7 +495,7 @@ fn parse_cell_line(rest: &str) -> Option<(usize, CellStats, usize)> {
             masked,
             output_error,
             anomaly,
-            events: Vec::with_capacity(nevents.min(4096)),
+            events: CellEvents::default(),
         },
         nevents,
     ))
@@ -660,7 +661,7 @@ mod tests {
     fn sample_cell() -> CellStats {
         CellStats {
             node: 3,
-            layer: "conv block 2".to_owned(), // spaces round-trip
+            layer: "conv block 2".into(), // spaces round-trip
             category: FfCategory::Datapath {
                 stage: PipelineStage::BufferToMac,
                 var: VarType::Weight,
@@ -688,7 +689,8 @@ mod tests {
                     max_perturbation: 0.25,
                     outcome: Outcome::Masked,
                 },
-            ],
+            ]
+            .into(),
         }
     }
 

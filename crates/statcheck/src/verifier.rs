@@ -392,12 +392,13 @@ fn check_operand_recipe(
         }
     }
 
-    let recipe_set = window_lattice(window.positions, window.channels, axis);
+    let (win_pos, win_ch) = (window.positions as usize, window.channels as usize);
+    let recipe_set = window_lattice(win_pos, win_ch, axis);
     let derived_set: Vec<NeuronOffset> = derived.faulty_neurons.iter().map(|t| t.neuron).collect();
 
     // Count: |window| must equal the reuse factor.
     r.checks_run += 1;
-    if window.positions * window.channels != derived.rf() {
+    if win_pos * win_ch != derived.rf() {
         emit_set_mismatch(
             r,
             &subject,
@@ -406,9 +407,9 @@ fn check_operand_recipe(
             &derived_set,
             format!(
                 "recipe window {}×{} covers {} neurons but Algorithm 1 derives RF = {}",
-                window.positions,
-                window.channels,
-                window.positions * window.channels,
+                win_pos,
+                win_ch,
+                win_pos * win_ch,
                 derived.rf()
             ),
         );
@@ -456,7 +457,7 @@ fn check_operand_recipe(
     // hold with one position per value cycle, and vice versa.
     r.checks_run += 1;
     if random_suffix {
-        if derived.ff_value_cycles != window.positions {
+        if derived.ff_value_cycles != win_pos {
             violation(
                 r,
                 CheckId::ModelVsRfa,
@@ -464,7 +465,7 @@ fn check_operand_recipe(
                 format!(
                     "recipe truncates a {}-position suffix but the FF holds its value for {} \
                      cycles — the truncation cannot model the random fault cycle",
-                    window.positions, derived.ff_value_cycles
+                    win_pos, derived.ff_value_cycles
                 ),
             );
         } else {
@@ -569,19 +570,20 @@ fn check_layer_geometry(cfg: &AcceleratorConfig, models: &ModelProvider<'_>, r: 
         let Some(SoftwareFaultModel::Operand { window, .. }) = models(cat, cfg) else {
             continue;
         };
+        let (win_pos, win_ch) = (window.positions as usize, window.channels as usize);
         for kind in MAC_LAYER_KINDS {
             r.checks_run += 1;
             let spec = canonical_spec(kind);
             let subject = format!("preset {} · {cat} · {kind:?}", cfg.name);
-            if window.positions > spec.position_count() || window.channels > spec.channel_count() {
+            if win_pos > spec.position_count() || win_ch > spec.channel_count() {
                 violation(
                     r,
                     CheckId::LayerGeometry,
                     subject,
                     format!(
                         "window {}×{} does not fit the canonical {:?} geometry {}×{}",
-                        window.positions,
-                        window.channels,
+                        win_pos,
+                        win_ch,
                         kind,
                         spec.position_count(),
                         spec.channel_count()
@@ -591,8 +593,8 @@ fn check_layer_geometry(cfg: &AcceleratorConfig, models: &ModelProvider<'_>, r: 
             }
             let mut seen = BTreeSet::new();
             let mut ok = true;
-            for p in 0..window.positions {
-                for c in 0..window.channels {
+            for p in 0..win_pos {
+                for c in 0..win_ch {
                     let off = spec.offset_of(p, c);
                     if off >= spec.out_len() || !seen.insert(off) || spec.coords_of(off) != (p, c) {
                         violation(
@@ -608,7 +610,7 @@ fn check_layer_geometry(cfg: &AcceleratorConfig, models: &ModelProvider<'_>, r: 
                     }
                 }
             }
-            if ok && seen.len() != window.positions * window.channels {
+            if ok && seen.len() != win_pos * win_ch {
                 violation(
                     r,
                     CheckId::LayerGeometry,

@@ -100,7 +100,7 @@ type CellKey = (
 fn cell_key(c: &CellStats) -> CellKey {
     (
         c.node,
-        c.layer.clone(),
+        c.layer.to_string(),
         format!("{:?}/{:?}", c.category, c.model),
         c.samples,
         c.masked,
@@ -158,7 +158,7 @@ const ALL_CATEGORIES: [FfCategory; 17] = {
 };
 
 fn arb_model() -> impl Strategy<Value = SoftwareFaultModel> {
-    (0usize..6, 1usize..40, 1usize..40, 0u8..2).prop_map(|(pick, positions, channels, suffix)| {
+    (0usize..6, 1u32..40, 1u32..40, 0u8..2).prop_map(|(pick, positions, channels, suffix)| {
         let kind = if pick % 2 == 0 {
             OperandKind::Input
         } else {
@@ -210,14 +210,14 @@ fn arb_cell() -> impl Strategy<Value = CellStats> {
         .prop_map(
             |(node, cat, model, (masked, output_error, anomaly), events)| CellStats {
                 node,
-                layer: format!("layer_{node}"),
+                layer: format!("layer_{node}").into(),
                 category: ALL_CATEGORIES[cat],
                 model,
                 samples: masked + output_error + anomaly,
                 masked,
                 output_error,
                 anomaly,
-                events,
+                events: events.into(),
             },
         )
 }
