@@ -2,7 +2,9 @@
 //! campaign publishes, over {lstm, mobilenet} × {fp16, int8} × {fixed,
 //! adaptive} × jobs {1, 4}, plus fixed-plan rows for yolo (fp16) and resnet
 //! (int8) — the conv-heavy networks whose corrupted-layer evaluation is the
-//! bulk of an injection — compared against `tests/golden/behaviour_lock.txt`.
+//! bulk of an injection — and for transformer (fp16 and int8), whose
+//! rank-2 sequence tensors take row-windowed cones, compared against
+//! `tests/golden/behaviour_lock.txt`.
 //!
 //! Each row pins four artifacts:
 //! - `result`: every cell's tallies plus the failures list, and the bits of
@@ -27,8 +29,8 @@ use fidelity::core::resilience::CheckpointSpec;
 use fidelity::dnn::graph::Engine;
 use fidelity::dnn::precision::Precision;
 use fidelity::workloads::{
-    classification_suite, lstm_workload, yolo_workload, BleuThreshold, DetectionThreshold,
-    Workload, WorkloadKind,
+    classification_suite, lstm_workload, transformer_workload, yolo_workload, BleuThreshold,
+    DetectionThreshold, Workload, WorkloadKind,
 };
 
 const GOLDEN: &str = include_str!("golden/behaviour_lock.txt");
@@ -55,6 +57,7 @@ fn workload(net: &str) -> Workload {
         "resnet" => classification_suite(42).remove(1),
         "mobilenet" => classification_suite(42).remove(2),
         "yolo" => yolo_workload(42),
+        "transformer" => transformer_workload(42),
         other => unreachable!("no workload {other}"),
     }
 }
@@ -135,7 +138,12 @@ fn campaign_artifacts_match_the_behaviour_lock() {
             }
         }
     }
-    for (net, precision) in [("yolo", Precision::Fp16), ("resnet", Precision::Int8)] {
+    for (net, precision) in [
+        ("yolo", Precision::Fp16),
+        ("resnet", Precision::Int8),
+        ("transformer", Precision::Fp16),
+        ("transformer", Precision::Int8),
+    ] {
         for jobs in [1, 4] {
             actual.push_str(&row(net, precision, false, jobs));
             actual.push('\n');
