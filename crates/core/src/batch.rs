@@ -58,6 +58,9 @@ pub struct BatchStats {
     pub delta_eligible: usize,
     /// Downstream nodes the delta walks recomputed, windowed or whole.
     pub nodes_recomputed: usize,
+    /// Recomputed nodes that took the windowed path; the rest were
+    /// whole-tensor forwards.
+    pub nodes_windowed: usize,
     /// Recomputed nodes whose output came back bit-identical to golden,
     /// ending the fault cone there.
     pub nodes_reconverged: usize,
@@ -214,6 +217,7 @@ impl BatchedInjectionRunner {
         );
         let walk = self.ws.take_delta_walk();
         self.stats.nodes_recomputed += walk.recomputed;
+        self.stats.nodes_windowed += walk.windowed;
         self.stats.nodes_reconverged += walk.reconverged;
         injection
     }

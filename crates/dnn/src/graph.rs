@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use crate::error::DnnError;
-use crate::layers::{for_each_window_row, Layer, LayerKind};
+use crate::layers::{for_each_window_row, plane_dims, Layer, LayerKind, Window};
 use crate::macspec::{MacSpec, MacTier, Operands};
 use crate::precision::{calibrate_scale, Precision, ValueCodec};
 use crate::tensor::Tensor;
@@ -299,15 +299,15 @@ fn fnv_tensor(mut h: u64, t: &Tensor) -> u64 {
 }
 
 /// Bounding region of the flat `offsets` into a tensor of `shape`: `None`
-/// when there are none, the spatial bounding box for a rank-4 NCHW tensor,
-/// `Region::All` for other ranks (no spatial structure to exploit).
+/// when there are none, the row × column bounding box over every plane of a
+/// rank-4 NCHW or rank-2 `[rows, cols]` tensor (see [`plane_dims`]),
+/// `Region::All` for other ranks (no windows to exploit).
 fn offsets_region(shape: &[usize], offsets: impl IntoIterator<Item = usize>) -> Option<Region> {
     let mut offsets = offsets.into_iter().peekable();
     offsets.peek()?;
-    if shape.len() != 4 {
+    let Some((_, hh, ww)) = plane_dims(shape) else {
         return Some(Region::All);
-    }
-    let (hh, ww) = (shape[2], shape[3]);
+    };
     let (mut h0, mut h1, mut w0, mut w1) = (usize::MAX, 0usize, usize::MAX, 0usize);
     for off in offsets {
         let r = (off / ww) % hh;
@@ -323,11 +323,12 @@ fn offsets_region(shape: &[usize], offsets: impl IntoIterator<Item = usize>) -> 
     })
 }
 
-/// The tight divergence region of `cur` from `gold` within the spatial
-/// window `h × w` of a rank-4 NCHW tensor (clamped to the shape): the
-/// bounding box of every element whose bits differ, or `None` when the
-/// window is bit-identical. Other ranks have no window and report
-/// `Region::All` when any element differs.
+/// The tight divergence region of `cur` from `gold` within the window
+/// `h × w` of every plane of a rank-4 NCHW or rank-2 `[rows, cols]` tensor
+/// (clamped to the shape; see [`plane_dims`]): the bounding box of every
+/// element whose bits differ, or `None` when the window is bit-identical.
+/// Other ranks have no windows and report `Region::All` when any element
+/// differs.
 ///
 /// Bits, not floats: `-0.0` vs `+0.0` and NaN payloads count as
 /// differences, so the region never under-covers what repair must restore
@@ -340,11 +341,9 @@ fn diff_region(
 ) -> Option<Region> {
     let (a, b) = (cur.data(), gold.data());
     let differs = |(x, y): (&f32, &f32)| x.to_bits() != y.to_bits();
-    let shape = cur.shape();
-    if shape.len() != 4 {
+    let Some((planes, hh, ww)) = plane_dims(cur.shape()) else {
         return a.iter().zip(b).any(differs).then_some(Region::All);
-    }
-    let (planes, hh, ww) = (shape[0] * shape[1], shape[2], shape[3]);
+    };
     let (h0, h1) = (h.0.min(hh), h.1.min(hh));
     let (w0, w1) = (w.0.min(ww), w.1.min(ww));
     let (mut r0, mut r1, mut c0, mut c1) = (usize::MAX, 0usize, usize::MAX, 0usize);
@@ -369,22 +368,6 @@ fn diff_region(
         h: (r0, r1),
         w: (c0, c1),
     })
-}
-
-/// Unions two divergence regions: `All` absorbs everything, windows union to
-/// their bounding box (a conservative superset, which is all the delta path
-/// needs).
-fn union_region(a: Option<Region>, b: Region) -> Region {
-    match (a, b) {
-        (None, r) => r,
-        (Some(Region::All), _) | (_, Region::All) => Region::All,
-        (Some(Region::Window { h: ah, w: aw }), Region::Window { h: bh, w: bw }) => {
-            Region::Window {
-                h: (ah.0.min(bh.0), ah.1.max(bh.1)),
-                w: (aw.0.min(bw.0), aw.1.max(bw.1)),
-            }
-        }
-    }
 }
 
 /// Copies every dirty region of the overlay back from the golden trace,
@@ -1010,54 +993,59 @@ impl Engine {
             }
             let node = &self.network.nodes[idx];
 
-            // Union of the regions in which this node's sources diverge
-            // from golden. All-clean sources mean every upstream
-            // perturbation was masked (or its window fell off the grid):
-            // the node is provably clean.
-            let mut src_dirty: Option<Region> = None;
-            for src in &node.sources {
+            // Where each source diverges from golden. All-clean sources
+            // mean every upstream perturbation was masked (or its window
+            // fell off the grid): the node is provably clean. A source
+            // dirty as a whole dirties the whole output; otherwise the
+            // layer maps the sources' windows to its output window when it
+            // has locality, and to `All` when it does not.
+            let mut window_buf: [Option<Window>; 8] = [None; 8];
+            let mut window_vec: Vec<Option<Window>>;
+            let windows: &mut [Option<Window>] = if node.sources.len() <= window_buf.len() {
+                &mut window_buf[..node.sources.len()]
+            } else {
+                window_vec = vec![None; node.sources.len()];
+                &mut window_vec
+            };
+            let (mut any_dirty, mut all) = (false, false);
+            for (k, src) in node.sources.iter().enumerate() {
                 if let Source::Node(j) = src {
-                    if let Some(r) = overlay.dirty[*j] {
-                        src_dirty = Some(union_region(src_dirty, r));
+                    match overlay.dirty[*j] {
+                        None => continue,
+                        Some(Region::All) => all = true,
+                        Some(Region::Window { h, w }) => windows[k] = Some((h, w)),
                     }
+                    any_dirty = true;
                 }
             }
-            let src_dirty = match src_dirty {
-                Some(r) => r,
-                None if fast_tier
-                    && matches!(node.layer.kind(), LayerKind::Dense | LayerKind::MatMul) =>
-                {
-                    Region::All
-                }
-                None => continue,
-            };
-
-            // Forward image of the dirty input region, when the layer has
-            // spatial locality; `All` otherwise.
-            let out_region = match src_dirty {
-                Region::All => Region::All,
-                Region::Window { h, w } => {
-                    let mut shape_buf: [&[usize]; 8] = [&[]; 8];
-                    let shape_vec: Vec<&[usize]>;
-                    let shape_of = |src: &Source| -> &[usize] {
-                        match src {
-                            Source::Input(i) => trace.inputs[*i].shape(),
-                            Source::Node(j) => trace.node_outputs[*j].shape(),
-                        }
-                    };
-                    let shapes: &[&[usize]] = if node.sources.len() <= shape_buf.len() {
-                        for (k, src) in node.sources.iter().enumerate() {
-                            shape_buf[k] = shape_of(src);
-                        }
-                        &shape_buf[..node.sources.len()]
-                    } else {
-                        shape_vec = node.sources.iter().map(shape_of).collect();
-                        &shape_vec
-                    };
-                    match node.layer.region_map(shapes, h, w) {
-                        Some((oh, ow)) => Region::Window { h: oh, w: ow },
-                        None => Region::All,
+            let forced =
+                fast_tier && matches!(node.layer.kind(), LayerKind::Dense | LayerKind::MatMul);
+            if !any_dirty && !forced {
+                continue;
+            }
+            let out_region = if all || forced {
+                Region::All
+            } else {
+                let mut shape_buf: [&[usize]; 8] = [&[]; 8];
+                let shape_vec: Vec<&[usize]>;
+                let shape_of = |src: &Source| -> &[usize] {
+                    match src {
+                        Source::Input(i) => trace.inputs[*i].shape(),
+                        Source::Node(j) => trace.node_outputs[*j].shape(),
                     }
+                };
+                let shapes: &[&[usize]] = if node.sources.len() <= shape_buf.len() {
+                    for (k, src) in node.sources.iter().enumerate() {
+                        shape_buf[k] = shape_of(src);
+                    }
+                    &shape_buf[..node.sources.len()]
+                } else {
+                    shape_vec = node.sources.iter().map(shape_of).collect();
+                    &shape_vec
+                };
+                match node.layer.region_map(shapes, windows) {
+                    Some((h, w)) => Region::Window { h, w },
+                    None => Region::All,
                 }
             };
 
@@ -1116,6 +1104,7 @@ impl Engine {
                             });
                         }
                         overlay.dirty[idx] = diff_region(out_t, gold, h, w);
+                        ws.delta_walk.windowed += 1;
                         handled = true;
                     }
                     Ok(false) => {} // fall through to the full forward
@@ -1514,7 +1503,7 @@ fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Activation, ActivationKind, Add, Dense};
+    use crate::layers::{union_windows, Activation, ActivationKind, Add, Dense, Mul};
     use crate::workspace::DeltaWalk;
 
     fn two_layer_net() -> Network {
@@ -1806,6 +1795,87 @@ mod tests {
             .unwrap()
     }
 
+    /// A rank-2 attention block over a `[6, 8]` sequence: Dense Q/K/V, the
+    /// transposed (`Q·Kᵀ`) and plain (`attn·V`) MatMul forms, Scale,
+    /// Softmax, a column Concat, Dense projection, residual Add and
+    /// LayerNorm, then a ReLU / BiasAdd / Mul gate and a Dense head. Every
+    /// tensor is `[rows, cols]`, so the delta walk runs on row windows.
+    fn attention_block_net(seed: u64) -> Network {
+        use crate::layers::{BiasAdd, Concat, LayerNorm, MatMul, Scale, Softmax};
+        let mut s = seed;
+        NetworkBuilder::new("attention")
+            .input("x")
+            .layer(
+                Dense::new("q", lcg_fill(&mut s, vec![4, 8])).unwrap(),
+                &["x"],
+            )
+            .unwrap()
+            .layer(
+                Dense::new("k", lcg_fill(&mut s, vec![4, 8])).unwrap(),
+                &["x"],
+            )
+            .unwrap()
+            .layer(
+                Dense::new("v", lcg_fill(&mut s, vec![4, 8])).unwrap(),
+                &["x"],
+            )
+            .unwrap()
+            .layer(MatMul::transposed("scores"), &["q", "k"])
+            .unwrap()
+            .layer(Scale::new("scaled", 0.5), &["scores"])
+            .unwrap()
+            .layer(Softmax::new("attn"), &["scaled"])
+            .unwrap()
+            .layer(MatMul::new("ctx"), &["attn", "v"])
+            .unwrap()
+            .layer(Concat::new("heads", 1), &["ctx", "q"])
+            .unwrap()
+            .layer(
+                Dense::new("proj", lcg_fill(&mut s, vec![8, 8])).unwrap(),
+                &["heads"],
+            )
+            .unwrap()
+            .layer(Add::new("res"), &["proj", "x"])
+            .unwrap()
+            .layer(
+                LayerNorm::new(
+                    "ln",
+                    lcg_fill(&mut s, vec![8]).map(|v| 1.0 + v / 4.0),
+                    lcg_fill(&mut s, vec![8]),
+                )
+                .unwrap(),
+                &["res"],
+            )
+            .unwrap()
+            .layer(Activation::new("relu", ActivationKind::Relu), &["ln"])
+            .unwrap()
+            .layer(
+                BiasAdd::new("bias", lcg_fill(&mut s, vec![8])).unwrap(),
+                &["relu"],
+            )
+            .unwrap()
+            .layer(Mul::new("gate"), &["bias", "ln"])
+            .unwrap()
+            .layer(
+                Dense::new("head", lcg_fill(&mut s, vec![5, 8])).unwrap(),
+                &["gate"],
+            )
+            .unwrap()
+            .build()
+            .unwrap()
+    }
+
+    /// The delta-walk fixtures: the rank-4 conv network and the rank-2
+    /// attention block, each with an input.
+    fn delta_fixture(attention: bool, seed: u64) -> (Network, Tensor) {
+        let mut s = seed ^ 0xD00D;
+        if attention {
+            (attention_block_net(seed), lcg_fill(&mut s, vec![6, 8]))
+        } else {
+            (branchy_conv_net(seed), lcg_fill(&mut s, vec![1, 2, 6, 6]))
+        }
+    }
+
     /// Bit image with NaN payloads canonicalized: NaN *positions* are part
     /// of the bitwise contract, NaN *payloads* are compiler-location
     /// dependent (see the `resume_delta` docs) and must compare equal.
@@ -1820,71 +1890,142 @@ mod tests {
     }
 
     /// The delta path must be byte-identical to the dense `resume_pooled`
-    /// oracle for every injection node, patch shape, precision, and
-    /// range-bounding mode — and must leave the overlay repaired to golden
-    /// bits afterwards.
+    /// oracle for every injection node, patch shape (NaN, ±∞ and −0
+    /// included), precision, and range-bounding mode, on the rank-4 conv
+    /// network and the rank-2 attention block — and must leave the overlay
+    /// repaired to golden bits afterwards.
     #[test]
     fn resume_delta_matches_resume_pooled_bitwise() {
-        let x = {
-            let mut s = 0xD00D_u64;
-            lcg_fill(&mut s, vec![1, 2, 6, 6])
-        };
-        for precision in [Precision::Fp32, Precision::Fp16] {
-            for bounded in [false, true] {
-                let mut engine =
-                    Engine::new(branchy_conv_net(7), precision, &[vec![x.clone()]]).unwrap();
-                if bounded {
-                    engine
-                        .enable_range_bounding(std::slice::from_ref(&x), 1.5)
-                        .unwrap();
-                }
-                let trace = engine.trace(std::slice::from_ref(&x)).unwrap();
-                let n = engine.network().node_count();
-                let mut ws = Workspace::new();
-                ws.install_golden(golden_key(&trace), &trace.node_outputs);
-
-                for node in 0..n {
-                    let len = trace.node_outputs[node].len();
-                    let patches: Vec<(Vec<usize>, Vec<f32>)> = vec![
-                        (vec![0], vec![64.0]),
-                        (vec![len - 1], vec![-1.0e30]),
-                        (
-                            vec![0, len / 2, len - 1],
-                            vec![f32::NAN, f32::INFINITY, 3.5],
-                        ),
-                    ];
-                    for (neurons, values) in patches {
-                        let delta = engine
-                            .resume_delta(&trace, node, &neurons, &values, None, &mut ws, bits_of)
+        for attention in [false, true] {
+            for precision in [Precision::Fp32, Precision::Fp16, Precision::Int8] {
+                for bounded in [false, true] {
+                    let (net, x) = delta_fixture(attention, 7);
+                    let mut engine = Engine::new(net, precision, &[vec![x.clone()]]).unwrap();
+                    if bounded {
+                        engine
+                            .enable_range_bounding(std::slice::from_ref(&x), 1.5)
                             .unwrap();
-
-                        let mut repl = trace.node_outputs[node].clone();
-                        for (&off, &v) in neurons.iter().zip(&values) {
-                            repl.data_mut()[off] = v;
-                        }
-                        let mut ws2 = Workspace::new();
-                        let dense = engine
-                            .resume_pooled(&trace, node, repl, None, &mut ws2)
-                            .unwrap();
-                        assert_eq!(
-                            delta,
-                            bits_of(dense.tensor()),
-                            "delta != pooled at node {node} (precision {precision:?}, \
-                             bounded {bounded})"
-                        );
-
-                        // Overlay must be bit-golden again, worklist empty.
-                        let overlay = ws.take_golden();
-                        assert_eq!(overlay.key, Some(golden_key(&trace)));
-                        for (slot, gold) in overlay.slots.iter().zip(&trace.node_outputs) {
-                            assert_eq!(bits_of(slot), bits_of(gold), "overlay not repaired");
-                        }
-                        assert!(overlay.dirty.iter().all(Option::is_none));
-                        ws.put_golden(overlay);
                     }
+                    check_delta_matches_pooled(&engine, &x, bounded);
                 }
             }
         }
+    }
+
+    fn check_delta_matches_pooled(engine: &Engine, x: &Tensor, bounded: bool) {
+        let precision = engine.precision();
+        let trace = engine.trace(std::slice::from_ref(x)).unwrap();
+        let n = engine.network().node_count();
+        let mut ws = Workspace::new();
+        ws.install_golden(golden_key(&trace), &trace.node_outputs);
+
+        for node in 0..n {
+            let len = trace.node_outputs[node].len();
+            let patches: Vec<(Vec<usize>, Vec<f32>)> = vec![
+                (vec![0], vec![64.0]),
+                (vec![len - 1], vec![-1.0e30]),
+                (
+                    vec![0, len / 2, len - 1],
+                    vec![f32::NAN, f32::INFINITY, 3.5],
+                ),
+                (vec![len / 3, len / 2], vec![-0.0, f32::NEG_INFINITY]),
+            ];
+            for (neurons, values) in patches {
+                let delta = engine
+                    .resume_delta(&trace, node, &neurons, &values, None, &mut ws, bits_of)
+                    .unwrap();
+
+                let mut repl = trace.node_outputs[node].clone();
+                for (&off, &v) in neurons.iter().zip(&values) {
+                    repl.data_mut()[off] = v;
+                }
+                let mut ws2 = Workspace::new();
+                let dense = engine
+                    .resume_pooled(&trace, node, repl, None, &mut ws2)
+                    .unwrap();
+                assert_eq!(
+                    delta,
+                    bits_of(dense.tensor()),
+                    "delta != pooled on {} at node {node} (precision {precision:?}, \
+                     bounded {bounded})",
+                    engine.network().name()
+                );
+
+                // Overlay must be bit-golden again, worklist empty.
+                let overlay = ws.take_golden();
+                assert_eq!(overlay.key, Some(golden_key(&trace)));
+                for (slot, gold) in overlay.slots.iter().zip(&trace.node_outputs) {
+                    assert_eq!(bits_of(slot), bits_of(gold), "overlay not repaired");
+                }
+                assert!(overlay.dirty.iter().all(Option::is_none));
+                ws.put_golden(overlay);
+            }
+        }
+    }
+
+    /// Row windows on the attention block: a fault in one query row stays
+    /// in that row all the way to the head, through both MatMul forms,
+    /// Softmax, Concat and LayerNorm, and every recompute is windowed. A
+    /// fault in one key row reaches every query row at one score column.
+    /// A fault in V reaches `attn·V` as a whole-tensor recompute, whose
+    /// compared output shrinks back to a window of the one dirty column.
+    #[test]
+    fn attention_faults_take_row_windows() {
+        let (net, x) = delta_fixture(true, 7);
+        let engine = Engine::new(net, Precision::Fp32, &[]).unwrap();
+        let trace = engine.trace(std::slice::from_ref(&x)).unwrap();
+        let n = engine.network().node_count();
+        let idx = |name: &str| engine.network().node_index(name).unwrap();
+        // Patches row 2, column 1 of a `[6, 4]` projection.
+        let walk = |node: usize| {
+            let mut ws = Workspace::new();
+            ws.install_golden(golden_key(&trace), &trace.node_outputs);
+            let mut overlay = ws.take_golden();
+            let mut side = ws.take_slots(n);
+            engine
+                .delta_walk(
+                    &trace,
+                    node,
+                    &[9],
+                    &[100.0],
+                    None,
+                    &mut ws,
+                    &mut overlay,
+                    &mut side,
+                )
+                .unwrap();
+            (overlay.dirty, ws.take_delta_walk())
+        };
+        let rows_of = |region: Option<Region>| match region {
+            Some(Region::Window { h, .. }) => h,
+            other => panic!("expected a window, got {other:?}"),
+        };
+
+        let (dirty, counters) = walk(idx("q"));
+        for name in [
+            "scores", "scaled", "attn", "ctx", "heads", "proj", "res", "ln", "head",
+        ] {
+            assert_eq!(rows_of(dirty[idx(name)]), (2, 3), "{name}");
+        }
+        assert!(counters.recomputed >= 12);
+        assert_eq!(counters.windowed, counters.recomputed);
+
+        let (dirty, _) = walk(idx("k"));
+        assert_eq!(
+            dirty[idx("scores")],
+            Some(Region::Window {
+                h: (0, 6),
+                w: (2, 3)
+            })
+        );
+
+        let (dirty, counters) = walk(idx("v"));
+        assert!(
+            matches!(dirty[idx("ctx")], Some(Region::Window { w: (1, 2), .. })),
+            "{:?}",
+            dirty[idx("ctx")]
+        );
+        assert!(counters.windowed < counters.recomputed);
     }
 
     #[test]
@@ -1924,27 +2065,26 @@ mod tests {
                 w: (2, 4)
             })
         );
-        assert_eq!(offsets_region(&[2, 10], [3]), Some(Region::All));
+        // A rank-2 `[rows, cols]` tensor is one plane: 3 -> (row 0, col 3),
+        // 17 -> (row 1, col 7).
+        assert_eq!(
+            offsets_region(&[2, 10], [3, 17]),
+            Some(Region::Window {
+                h: (0, 2),
+                w: (3, 8)
+            })
+        );
+        assert_eq!(offsets_region(&[2, 2, 10], [3]), Some(Region::All));
         assert_eq!(offsets_region(&[1, 1, 4, 4], []), None);
 
-        let w1 = Region::Window {
-            h: (0, 2),
-            w: (3, 4),
-        };
-        let w2 = Region::Window {
-            h: (1, 3),
-            w: (0, 1),
-        };
+        let w1 = ((0, 2), (3, 4));
+        let w2 = ((1, 3), (0, 1));
         assert_eq!(
-            union_region(Some(w1), w2),
-            Region::Window {
-                h: (0, 3),
-                w: (0, 4)
-            }
+            union_windows(&[Some(w1), None, Some(w2)]),
+            Some(((0, 3), (0, 4)))
         );
-        assert_eq!(union_region(None, w1), w1);
-        assert_eq!(union_region(Some(Region::All), w2), Region::All);
-        assert_eq!(union_region(Some(w1), Region::All), Region::All);
+        assert_eq!(union_windows(&[None, Some(w1)]), Some(w1));
+        assert_eq!(union_windows(&[None, None]), None);
     }
 
     #[test]
@@ -1975,8 +2115,29 @@ mod tests {
         // NaN payloads are bits like any other.
         let nan_a = Tensor::full(vec![2, 3], f32::from_bits(0x7FC0_0001));
         let nan_b = Tensor::full(vec![2, 3], f32::from_bits(0x7FC0_0002));
-        assert_eq!(diff_region(&nan_a, &nan_b, all, all), Some(Region::All));
+        assert_eq!(
+            diff_region(&nan_a, &nan_b, all, all),
+            Some(Region::Window {
+                h: (0, 2),
+                w: (0, 3)
+            })
+        );
         assert_eq!(diff_region(&nan_a, &nan_a, all, all), None);
+        // Rank 2 is one plane; ranks without planes report `All`.
+        let mut rows = Tensor::zeros(vec![4, 6]);
+        rows.data_mut()[2 * 6 + 1] = -0.0;
+        assert_eq!(
+            diff_region(&rows, &Tensor::zeros(vec![4, 6]), all, all),
+            Some(Region::Window {
+                h: (2, 3),
+                w: (1, 2)
+            })
+        );
+        let cube = Tensor::full(vec![2, 2, 2], 1.0);
+        assert_eq!(
+            diff_region(&cube, &Tensor::zeros(vec![2, 2, 2]), all, all),
+            Some(Region::All)
+        );
     }
 
     /// Whether flat offset `off` of a tensor of `shape` lies in `region`.
@@ -1985,7 +2146,8 @@ mod tests {
             None => false,
             Some(Region::All) => true,
             Some(Region::Window { h, w }) => {
-                let (r, c) = ((off / shape[3]) % shape[2], off % shape[3]);
+                let (_, rows, cols) = plane_dims(shape).expect("windows have planes");
+                let (r, c) = ((off / cols) % rows, off % cols);
                 (h.0..h.1).contains(&r) && (w.0..w.1).contains(&c)
             }
         }
@@ -2000,19 +2162,23 @@ mod tests {
         /// differs from golden, and every node's value equals the dense one.
         #[test]
         fn delta_walk_regions_are_exact(
+            attention in proptest::prelude::prop_oneof![
+                proptest::prelude::Just(false),
+                proptest::prelude::Just(true)
+            ],
             net_seed in 1u64..50,
             precision_idx in 0usize..3,
             bounded in proptest::prelude::prop_oneof![
                 proptest::prelude::Just(false),
                 proptest::prelude::Just(true)
             ],
-            node in 0usize..10,
+            node in 0usize..16,
             flips in proptest::collection::vec((0usize..100_000, 0u32..32), 1..4),
+            special in 0usize..5,
         ) {
             let precision = [Precision::Fp32, Precision::Fp16, Precision::Int8][precision_idx];
-            let x = lcg_fill(&mut (net_seed ^ 0xD00D), vec![1, 2, 6, 6]);
-            let mut engine =
-                Engine::new(branchy_conv_net(net_seed), precision, &[vec![x.clone()]]).unwrap();
+            let (net, x) = delta_fixture(attention, net_seed);
+            let mut engine = Engine::new(net, precision, &[vec![x.clone()]]).unwrap();
             if bounded {
                 engine
                     .enable_range_bounding(std::slice::from_ref(&x), 1.5)
@@ -2023,11 +2189,15 @@ mod tests {
             let node = node % n;
             let gold_node = trace.node_outputs[node].data();
             let neurons: Vec<usize> = flips.iter().map(|&(o, _)| o % gold_node.len()).collect();
-            let values: Vec<f32> = neurons
+            let mut values: Vec<f32> = neurons
                 .iter()
                 .zip(&flips)
                 .map(|(&o, &(_, bit))| f32::from_bits(gold_node[o].to_bits() ^ (1 << bit)))
                 .collect();
+            // Optionally overwrite the first patch with a special value.
+            if special > 0 {
+                values[0] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0][special - 1];
+            }
 
             // Dense oracle: every node of the resumed network.
             let mut repl = trace.node_outputs[node].clone();
@@ -2107,6 +2277,7 @@ mod tests {
             ws.take_delta_walk(),
             DeltaWalk {
                 recomputed: 1,
+                windowed: 1,
                 reconverged: 1
             },
             "only the ReLU may be recomputed"

@@ -1,7 +1,7 @@
 //! 2-D convolution.
 
 use crate::error::DnnError;
-use crate::layers::{check_arity, Layer, LayerKind};
+use crate::layers::{check_arity, union_windows, Layer, LayerKind, Window};
 use crate::macspec::{conv_out_window, ConvSpec, MacSpec, Operands};
 use crate::precision::ValueCodec;
 use crate::tensor::Tensor;
@@ -175,13 +175,9 @@ impl Layer for Conv2d {
             .map(MacSpec::Conv)
     }
 
-    fn region_map(
-        &self,
-        input_shapes: &[&[usize]],
-        h: (usize, usize),
-        w: (usize, usize),
-    ) -> Option<((usize, usize), (usize, usize))> {
+    fn region_map(&self, input_shapes: &[&[usize]], dirty: &[Option<Window>]) -> Option<Window> {
         let c = self.spec_for(input_shapes.first()?).ok()?;
+        let (h, w) = union_windows(dirty)?;
         Some((
             conv_out_window(h, c.kh, c.stride.0, c.padding.0, c.dilation.0, c.out_h()),
             conv_out_window(w, c.kw, c.stride.1, c.padding.1, c.dilation.1, c.out_w()),

@@ -1,8 +1,8 @@
 //! Fully-connected and matrix-multiplication layers.
 
 use crate::error::DnnError;
-use crate::layers::{check_arity, Layer, LayerKind};
-use crate::macspec::{DenseSpec, MacSpec, MatMulSpec, Operands};
+use crate::layers::{check_arity, union_windows, Layer, LayerKind, Window};
+use crate::macspec::{DenseSpec, MacSpec, MacTier, MatMulSpec, Operands};
 use crate::precision::ValueCodec;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
@@ -114,6 +114,38 @@ impl Layer for Dense {
             .map(MacSpec::Dense)
     }
 
+    fn region_map(&self, input_shapes: &[&[usize]], dirty: &[Option<Window>]) -> Option<Window> {
+        // Each output row reads one input row: dirty rows × every feature.
+        let d = self.spec_for(input_shapes.first()?).ok()?;
+        Some((union_windows(dirty)?.0, (0, d.out_features)))
+    }
+
+    fn forward_region(
+        &self,
+        inputs: &[&Tensor],
+        h: (usize, usize),
+        w: (usize, usize),
+        out: &mut Tensor,
+        ws: &mut Workspace,
+    ) -> Result<bool, DnnError> {
+        check_arity(&self.name, 1, inputs.len())?;
+        let d = self.spec_for(inputs[0].shape())?;
+        if ws.mac_tier() != MacTier::Bitwise || out.shape() != [d.batch, d.out_features] {
+            return Ok(false);
+        }
+        let ops = Operands {
+            input: inputs[0],
+            weight: &self.weight,
+        };
+        Ok(MacSpec::Dense(d).forward_region_into_scratch(
+            &ops,
+            out.data_mut(),
+            ws.kernel_scratch(),
+            h,
+            w,
+        ))
+    }
+
     fn quantize_weights(&mut self, codec: &ValueCodec) {
         self.weight.map_inplace(|v| codec.quantize(v));
     }
@@ -220,6 +252,51 @@ impl Layer for MatMul {
         self.spec_for(input_shapes[0], input_shapes[1])
             .ok()
             .map(MacSpec::MatMul)
+    }
+
+    fn region_map(&self, input_shapes: &[&[usize]], dirty: &[Option<Window>]) -> Option<Window> {
+        // Rank-2 operands only: `out[r][c]` reads row `r` of A and row `c`
+        // of Bᵀ (column `c` of a plain B, which every B row feeds).
+        let [a, b] = input_shapes else {
+            return None;
+        };
+        if a.len() != 2 || b.len() != 2 {
+            return None;
+        }
+        let m = self.spec_for(a, b).ok()?;
+        let from_a = dirty[0].map(|(rows, _)| (rows, (0, m.n)));
+        let from_b = match dirty[1] {
+            None => None,
+            Some((rows, _)) if self.transpose_b => Some(((0, m.m), rows)),
+            Some(_) => return None,
+        };
+        union_windows(&[from_a, from_b])
+    }
+
+    fn forward_region(
+        &self,
+        inputs: &[&Tensor],
+        h: (usize, usize),
+        w: (usize, usize),
+        out: &mut Tensor,
+        ws: &mut Workspace,
+    ) -> Result<bool, DnnError> {
+        check_arity(&self.name, 2, inputs.len())?;
+        let m = self.spec_for(inputs[0].shape(), inputs[1].shape())?;
+        if ws.mac_tier() != MacTier::Bitwise || out.shape() != [m.m, m.n] {
+            return Ok(false);
+        }
+        let ops = Operands {
+            input: inputs[0],
+            weight: inputs[1],
+        };
+        Ok(MacSpec::MatMul(m).forward_region_into_scratch(
+            &ops,
+            out.data_mut(),
+            ws.kernel_scratch(),
+            h,
+            w,
+        ))
     }
 }
 

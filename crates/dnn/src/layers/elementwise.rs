@@ -1,7 +1,10 @@
 //! Element-wise arithmetic, bias addition, and concatenation.
 
 use crate::error::DnnError;
-use crate::layers::{check_arity, Layer, LayerKind};
+use crate::layers::{
+    check_arity, for_each_window_row, plane_dims, pointwise_region, union_windows, Layer,
+    LayerKind, Window,
+};
 use crate::precision::ValueCodec;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
@@ -111,13 +114,8 @@ impl Layer for BiasAdd {
         self.bias.map_inplace(|v| codec.quantize(v));
     }
 
-    fn region_map(
-        &self,
-        input_shapes: &[&[usize]],
-        h: (usize, usize),
-        w: (usize, usize),
-    ) -> Option<((usize, usize), (usize, usize))> {
-        (input_shapes.first()?.len() == 4).then_some((h, w))
+    fn region_map(&self, input_shapes: &[&[usize]], dirty: &[Option<Window>]) -> Option<Window> {
+        pointwise_region(input_shapes, dirty)
     }
 
     fn forward_region(
@@ -131,21 +129,28 @@ impl Layer for BiasAdd {
         let _ = ws;
         check_arity(&self.name, 1, inputs.len())?;
         let x = inputs[0];
-        if x.rank() != 4 || out.shape() != x.shape() || x.shape()[1] != self.bias.len() {
+        if out.shape() != x.shape() {
             return Ok(false);
         }
-        let hw = x.shape()[2] * x.shape()[3];
-        let c = x.shape()[1];
         let src = x.data();
         let bias = self.bias.data();
         let dst = out.data_mut();
-        crate::layers::for_each_window_row(x.shape(), h, w, |a, b| {
-            let ch = (a / hw) % c;
-            let bv = bias[ch];
-            for (d, s) in dst[a..b].iter_mut().zip(&src[a..b]) {
-                *d = s + bv;
-            }
-        });
+        // Per channel (rank 4) or per column (rank 2), as in `forward`.
+        match *x.shape() {
+            [_, c, hh, ww] if c == bias.len() => for_each_window_row(x.shape(), h, w, |a, b| {
+                let bv = bias[(a / (hh * ww)) % c];
+                for (d, s) in dst[a..b].iter_mut().zip(&src[a..b]) {
+                    *d = s + bv;
+                }
+            }),
+            [_, cols] if cols == bias.len() => for_each_window_row(x.shape(), h, w, |a, b| {
+                let row_bias = &bias[a % cols..];
+                for ((d, s), bv) in dst[a..b].iter_mut().zip(&src[a..b]).zip(row_bias) {
+                    *d = s + bv;
+                }
+            }),
+            _ => return Ok(false),
+        }
         Ok(true)
     }
 }
@@ -181,13 +186,8 @@ impl Layer for Add {
         binary_elementwise(inputs[0], inputs[1], "Add::forward", ws, |a, b| a + b)
     }
 
-    fn region_map(
-        &self,
-        input_shapes: &[&[usize]],
-        h: (usize, usize),
-        w: (usize, usize),
-    ) -> Option<((usize, usize), (usize, usize))> {
-        (input_shapes.first()?.len() == 4).then_some((h, w))
+    fn region_map(&self, input_shapes: &[&[usize]], dirty: &[Option<Window>]) -> Option<Window> {
+        pointwise_region(input_shapes, dirty)
     }
 
     fn forward_region(
@@ -235,13 +235,8 @@ impl Layer for Mul {
         binary_elementwise(inputs[0], inputs[1], "Mul::forward", ws, |a, b| a * b)
     }
 
-    fn region_map(
-        &self,
-        input_shapes: &[&[usize]],
-        h: (usize, usize),
-        w: (usize, usize),
-    ) -> Option<((usize, usize), (usize, usize))> {
-        (input_shapes.first()?.len() == 4).then_some((h, w))
+    fn region_map(&self, input_shapes: &[&[usize]], dirty: &[Option<Window>]) -> Option<Window> {
+        pointwise_region(input_shapes, dirty)
     }
 
     fn forward_region(
@@ -258,7 +253,8 @@ impl Layer for Mul {
     }
 }
 
-/// Windowed counterpart of [`binary_elementwise`] for rank-4 operands.
+/// Windowed counterpart of [`binary_elementwise`] for operands with planes
+/// (rank 4 or rank 2).
 fn binary_elementwise_region(
     a: &Tensor,
     b: &Tensor,
@@ -267,13 +263,13 @@ fn binary_elementwise_region(
     out: &mut Tensor,
     f: impl Fn(f32, f32) -> f32,
 ) -> Result<bool, DnnError> {
-    if a.rank() != 4 || a.shape() != b.shape() || out.shape() != a.shape() {
+    if plane_dims(a.shape()).is_none() || a.shape() != b.shape() || out.shape() != a.shape() {
         return Ok(false);
     }
     let ad = a.data();
     let bd = b.data();
     let dst = out.data_mut();
-    crate::layers::for_each_window_row(a.shape(), h, w, |lo, hi| {
+    for_each_window_row(a.shape(), h, w, |lo, hi| {
         for i in lo..hi {
             dst[i] = f(ad[i], bd[i]);
         }
@@ -335,13 +331,8 @@ impl Layer for Scale {
         Ok(out)
     }
 
-    fn region_map(
-        &self,
-        input_shapes: &[&[usize]],
-        h: (usize, usize),
-        w: (usize, usize),
-    ) -> Option<((usize, usize), (usize, usize))> {
-        (input_shapes.first()?.len() == 4).then_some((h, w))
+    fn region_map(&self, input_shapes: &[&[usize]], dirty: &[Option<Window>]) -> Option<Window> {
+        pointwise_region(input_shapes, dirty)
     }
 
     fn forward_region(
@@ -355,12 +346,12 @@ impl Layer for Scale {
         let _ = ws;
         check_arity(&self.name, 1, inputs.len())?;
         let x = inputs[0];
-        if x.rank() != 4 || out.shape() != x.shape() {
+        if plane_dims(x.shape()).is_none() || out.shape() != x.shape() {
             return Ok(false);
         }
         let src = x.data();
         let dst = out.data_mut();
-        crate::layers::for_each_window_row(x.shape(), h, w, |a, b| {
+        for_each_window_row(x.shape(), h, w, |a, b| {
             for (d, s) in dst[a..b].iter_mut().zip(&src[a..b]) {
                 *d = s * self.factor;
             }
@@ -455,16 +446,21 @@ impl Layer for Concat {
         true // pure data movement
     }
 
-    fn region_map(
-        &self,
-        input_shapes: &[&[usize]],
-        h: (usize, usize),
-        w: (usize, usize),
-    ) -> Option<((usize, usize), (usize, usize))> {
+    fn region_map(&self, input_shapes: &[&[usize]], dirty: &[Option<Window>]) -> Option<Window> {
         // Channel concat of NCHW tensors preserves spatial coordinates, so
-        // the output window is the input window. Other axes reshuffle flat
-        // layout and fall back to a full recompute.
-        (self.axis == 1 && input_shapes.first()?.len() == 4).then_some((h, w))
+        // the output window is the input window. Column concat of `[rows,
+        // cols]` tensors preserves rows; the window keeps the dirty rows and
+        // widens to every column. Other axes reshuffle flat layout and fall
+        // back to a full recompute.
+        if self.axis != 1 {
+            return None;
+        }
+        let (h, w) = union_windows(dirty)?;
+        match input_shapes.first()?.len() {
+            4 => Some((h, w)),
+            2 => Some((h, (0, input_shapes.iter().map(|s| s[1]).sum()))),
+            _ => None,
+        }
     }
 
     fn forward_region(
@@ -480,6 +476,31 @@ impl Layer for Concat {
             return Ok(false);
         }
         let s0 = inputs[0].shape();
+        if let [rows, _] = *s0 {
+            // Column concat of `[rows, cols]` tensors: each input owns one
+            // band of output columns.
+            if inputs.iter().any(|t| t.rank() != 2 || t.shape()[0] != rows) {
+                return Ok(false);
+            }
+            let total: usize = inputs.iter().map(|t| t.shape()[1]).sum();
+            if out.shape() != [rows, total] {
+                return Ok(false);
+            }
+            let od = out.data_mut();
+            let mut c_off = 0usize;
+            for t in inputs {
+                let tc = t.shape()[1];
+                let (lo, hi) = (w0.max(c_off), w1.min(c_off + tc));
+                for r in h0.min(rows)..h1.min(rows) {
+                    if lo < hi {
+                        let src = &t.data()[r * tc + lo - c_off..r * tc + hi - c_off];
+                        od[r * total + lo..r * total + hi].copy_from_slice(src);
+                    }
+                }
+                c_off += tc;
+            }
+            return Ok(true);
+        }
         if s0.len() != 4 {
             return Ok(false);
         }

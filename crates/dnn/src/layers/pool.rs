@@ -1,7 +1,7 @@
 //! Spatial pooling layers.
 
 use crate::error::DnnError;
-use crate::layers::{check_arity, Layer, LayerKind};
+use crate::layers::{check_arity, union_windows, Layer, LayerKind, Window};
 use crate::macspec::conv_out_dim;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
@@ -150,17 +150,13 @@ impl Layer for Pool2d {
         Ok(out)
     }
 
-    fn region_map(
-        &self,
-        input_shapes: &[&[usize]],
-        h: (usize, usize),
-        w: (usize, usize),
-    ) -> Option<((usize, usize), (usize, usize))> {
+    fn region_map(&self, input_shapes: &[&[usize]], dirty: &[Option<Window>]) -> Option<Window> {
         use crate::macspec::conv_out_window;
         let s = *input_shapes.first()?;
         if s.len() != 4 {
             return None;
         }
+        let (h, w) = union_windows(dirty)?;
         let oh = conv_out_dim(s[2], self.k, self.stride, self.padding, 1);
         let ow = conv_out_dim(s[3], self.k, self.stride, self.padding, 1);
         Some((

@@ -509,7 +509,7 @@ impl MacSpec {
                 for b in 0..d.batch {
                     let x_row = &x[b * d.in_features..(b + 1) * d.in_features];
                     let out_row = &mut out[b * d.out_features..(b + 1) * d.out_features];
-                    dot_rows_bitwise(x_row, w, d.in_features, out_row);
+                    dot_rows_bitwise(x_row, w, d.in_features, out_row, (0, d.out_features));
                 }
             }
             MacSpec::MatMul(m) => {
@@ -519,7 +519,7 @@ impl MacSpec {
                         for r in 0..m.m {
                             let a_row = &x[(g * m.m + r) * m.k..][..m.k];
                             let out_row = &mut out[(g * m.m + r) * m.n..][..m.n];
-                            dot_rows_bitwise(a_row, b_mat, m.k, out_row);
+                            dot_rows_bitwise(a_row, b_mat, m.k, out_row, (0, m.n));
                         }
                     }
                 } else {
@@ -595,16 +595,22 @@ impl MacSpec {
         }
     }
 
-    /// Computes only the output elements whose spatial coordinates fall in
-    /// `h = [h0, h1)` × `w = [w0, w1)` (all batches and channels), leaving
-    /// every other element of `out` untouched. Returns `false` — without
-    /// writing anything — when this spec has no spatial output (dense,
-    /// matmul); callers then fall back to a full forward.
+    /// Computes only the output elements in the window `h = [h0, h1)` ×
+    /// `w = [w0, w1)` (clamped to the output), leaving every other element
+    /// of `out` untouched. For a conv the window is spatial, over all
+    /// batches and channels; for a dense layer or an unbatched matmul it is
+    /// rows × columns of the `[rows, cols]` output. Returns `false` —
+    /// without writing anything — for a batched (rank-3) matmul, which has
+    /// no window; callers then fall back to a full forward.
     ///
     /// Within the window the values are byte-identical to
-    /// [`MacSpec::forward_into_scratch`]: same packed kernel, same per-neuron
-    /// ascending-step accumulation order, merely restricted to a sub-range
-    /// of output rows/columns.
+    /// [`MacSpec::forward_into_scratch`]: the same kernels with the same
+    /// per-neuron ascending-step accumulation order, restricted to a
+    /// sub-range of output rows and columns. Dense and transposed-matmul
+    /// columns run in the forward pass's own 8-wide lane groups, and a
+    /// non-transposed matmul row accumulates every column before the window
+    /// is copied out, so each neuron is computed by the same code as in the
+    /// full pass.
     pub fn forward_region_into_scratch(
         &self,
         operands: &Operands<'_>,
@@ -613,22 +619,42 @@ impl MacSpec {
         h: (usize, usize),
         w_win: (usize, usize),
     ) -> bool {
+        assert_eq!(out.len(), self.out_len(), "output buffer size mismatch");
+        let x = operands.input.data();
+        let w = operands.weight.data();
         match self {
-            MacSpec::Conv(c) => {
-                assert_eq!(out.len(), self.out_len(), "output buffer size mismatch");
-                conv_forward_window(
-                    c,
-                    operands.input.data(),
-                    operands.weight.data(),
-                    out,
-                    scratch,
-                    h,
-                    w_win,
-                );
-                true
+            MacSpec::Conv(c) => conv_forward_window(c, x, w, out, scratch, h, w_win),
+            MacSpec::Dense(d) => {
+                let (k, n) = (d.in_features, d.out_features);
+                for r in h.0..h.1.min(d.batch) {
+                    dot_rows_bitwise(&x[r * k..][..k], w, k, &mut out[r * n..][..n], w_win);
+                }
             }
-            _ => false,
+            MacSpec::MatMul(m) if m.batch != 1 => return false,
+            MacSpec::MatMul(m) if m.transpose_b => {
+                for r in h.0..h.1.min(m.m) {
+                    let out_row = &mut out[r * m.n..][..m.n];
+                    dot_rows_bitwise(&x[r * m.k..][..m.k], w, m.k, out_row, w_win);
+                }
+            }
+            MacSpec::MatMul(m) => {
+                let (c0, c1) = (w_win.0.min(m.n), w_win.1.min(m.n));
+                if c0 >= c1 {
+                    return true;
+                }
+                scratch.acc.clear();
+                scratch.acc.resize(m.n, 0.0);
+                let acc = &mut scratch.acc[..m.n];
+                for r in h.0..h.1.min(m.m) {
+                    acc.fill(0.0);
+                    for (kk, av) in x[r * m.k..][..m.k].iter().enumerate() {
+                        axpy_lanes(acc, &w[kk * m.n..][..m.n], *av);
+                    }
+                    out[r * m.n + c0..r * m.n + c1].copy_from_slice(&acc[c0..c1]);
+                }
+            }
         }
+        true
     }
 
     /// Exact maximum absolute divergence of the `Fast` tier from the
@@ -874,15 +900,30 @@ fn axpy_lanes(acc: &mut [f32], xs: &[f32], wv: f32) {
 /// are added in ascending contraction order into its own accumulator —
 /// bit-identical to eight scalar dots — but the eight independent adds
 /// break the fadd latency chain that serializes the scalar loop.
+///
+/// Only the outputs in the column window `[c0, c1)` are written. The lane
+/// groups are always the aligned groups of the whole row, so an output is
+/// computed by the same code whatever the window.
 #[inline]
-fn dot_rows_bitwise(x_row: &[f32], w: &[f32], stride: usize, out: &mut [f32]) {
+fn dot_rows_bitwise(
+    x_row: &[f32],
+    w: &[f32],
+    stride: usize,
+    out: &mut [f32],
+    (c0, c1): (usize, usize),
+) {
     let k = x_row.len();
-    for (chunk, out_c) in out.chunks_mut(LANES).enumerate() {
-        let o = chunk * LANES;
-        let l = out_c.len();
+    let c1 = c1.min(out.len());
+    if c0 >= c1 {
+        return;
+    }
+    for o in (c0 - c0 % LANES..c1).step_by(LANES) {
+        let l = LANES.min(out.len() - o);
         let rows: [&[f32]; LANES] =
             core::array::from_fn(|j| &w[(o + j.min(l - 1)) * stride..][..k]);
-        out_c.copy_from_slice(&dot_lanes(x_row, &rows, l)[..l]);
+        let acc = dot_lanes(x_row, &rows, l);
+        let (lo, hi) = (c0.max(o), c1.min(o + l));
+        out[lo..hi].copy_from_slice(&acc[lo - o..hi - o]);
     }
 }
 

@@ -22,15 +22,16 @@ use crate::macspec::{KernelScratch, MacTier};
 use crate::tensor::Tensor;
 
 /// The part of one node's output in which the delta resume path's value may
-/// differ from the golden trace: either the whole tensor, or — for rank-4
-/// NCHW outputs — every batch and channel of the spatial window
-/// `rows [h0, h1) × cols [w0, w1)`. Every element outside the region holds
-/// its golden bits.
+/// differ from the golden trace: either the whole tensor, or the window
+/// `rows [h0, h1) × cols [w0, w1)` of every plane — every batch and channel
+/// of a rank-4 NCHW output, or the single plane of a rank-2 `[rows, cols]`
+/// output. Other ranks are only ever `All`. Every element outside the
+/// region holds its golden bits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Region {
     /// The entire output may differ.
     All,
-    /// Only the spatial window differs (all batches / channels).
+    /// Only the window differs (in every plane).
     Window {
         /// `[h0, h1)` output rows.
         h: (usize, usize),
@@ -46,6 +47,10 @@ pub enum Region {
 pub struct DeltaWalk {
     /// Downstream nodes recomputed, windowed or whole.
     pub recomputed: usize,
+    /// Recomputed nodes that took the windowed path
+    /// ([`crate::layers::Layer::forward_region`]); the rest were whole
+    /// forwards.
+    pub windowed: usize,
     /// Recomputed nodes whose output came back bit-identical to golden, so
     /// the cone ended there.
     pub reconverged: usize,

@@ -303,6 +303,58 @@ proptest! {
         }
     }
 
+    /// Dense and unbatched matmul windows (rows × columns of the `[rows,
+    /// cols]` output) are byte-identical to the full kernel inside the
+    /// window and leave everything outside it untouched; batched matmuls
+    /// have no windows and write nothing. Column counts cross the 8-lane
+    /// boundary so windows start and end inside lane groups.
+    #[test]
+    fn row_window_kernels_match_full_kernel(
+        kind in 0usize..3,
+        batch in 1usize..3,
+        rows in 1usize..7,
+        k in 1usize..13,
+        cols in 1usize..20,
+        h0 in 0usize..7,
+        hspan in 0usize..7,
+        w0 in 0usize..20,
+        wspan in 0usize..20,
+        seed in 0u64..u64::MAX,
+    ) {
+        let spec = match kind {
+            0 => MacSpec::Dense(DenseSpec { batch: rows, in_features: k, out_features: cols }),
+            _ => MacSpec::MatMul(MatMulSpec { batch, m: rows, k, n: cols, transpose_b: kind == 2 }),
+        };
+        let (in_shape, w_shape) = operand_shapes(&spec);
+        let input = adversarial_tensor(seed, in_shape);
+        let weight = adversarial_tensor(seed ^ 0xC0FFEE, w_shape);
+        let ops = Operands { input: &input, weight: &weight };
+
+        let mut scratch = KernelScratch::new();
+        let mut full = vec![0.0f32; spec.out_len()];
+        spec.forward_into_scratch(&ops, &mut full, &mut scratch);
+
+        const SENTINEL: f32 = 7777.5;
+        let mut windowed = vec![SENTINEL; spec.out_len()];
+        let window = ((h0, h0 + hspan), (w0, w0 + wspan));
+        let batched = matches!(&spec, MacSpec::MatMul(m) if m.batch != 1);
+        prop_assert_eq!(
+            spec.forward_region_into_scratch(&ops, &mut windowed, &mut scratch, window.0, window.1),
+            !batched
+        );
+        for (off, got) in windowed.iter().enumerate() {
+            let (r, c) = (off / cols, off % cols);
+            let inside = !batched
+                && (window.0 .0..window.0 .1).contains(&r)
+                && (window.1 .0..window.1 .1).contains(&c);
+            if inside {
+                prop_assert_eq!(canon_bits(*got), canon_bits(full[off]), "window bits at {}", off);
+            } else {
+                prop_assert_eq!(got.to_bits(), SENTINEL.to_bits(), "outside window at {}", off);
+            }
+        }
+    }
+
     /// `conv_out_window` is a conservative superset: every output whose
     /// receptive field touches the input window must land inside the mapped
     /// output window (brute-forced over all taps).
