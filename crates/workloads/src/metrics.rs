@@ -37,6 +37,13 @@ pub fn bleu4(reference: &[usize], hypothesis: &[usize]) -> f64 {
     if reference.is_empty() || hypothesis.is_empty() {
         return if reference == hypothesis { 1.0 } else { 0.0 };
     }
+    // A hypothesis equal to a reference of at least four tokens matches
+    // every n-gram: each precision is exactly 1, the log-sum exactly 0 and
+    // the brevity penalty 1, so the formula below would return exactly 1.0.
+    // Shorter sequences have no 4-grams and take the floored formula.
+    if reference.len() >= 4 && reference == hypothesis {
+        return 1.0;
+    }
     const EPS: f64 = 1e-7;
     let mut log_sum = 0.0;
     for n in 1..=4usize {
@@ -51,25 +58,31 @@ pub fn bleu4(reference: &[usize], hypothesis: &[usize]) -> f64 {
     (bp * log_sum.exp()).clamp(0.0, 1.0)
 }
 
+/// Clipped n-gram precision: the hypothesis n-grams matched by reference
+/// n-grams (each reference n-gram matches at most once), over all
+/// hypothesis n-grams. The matched count is the size of the multiset
+/// intersection, taken by merging the two sorted n-gram lists.
 fn ngram_precision(reference: &[usize], hypothesis: &[usize], n: usize) -> f64 {
     if hypothesis.len() < n {
         return 0.0;
     }
-    let count = |s: &[usize]| {
-        let mut map = std::collections::HashMap::new();
-        for w in s.windows(n) {
-            *map.entry(w.to_vec()).or_insert(0usize) += 1;
+    let mut hyp: Vec<&[usize]> = hypothesis.windows(n).collect();
+    let mut refs: Vec<&[usize]> = reference.windows(n).collect();
+    hyp.sort_unstable();
+    refs.sort_unstable();
+    let (mut i, mut j, mut matched) = (0, 0, 0usize);
+    while i < hyp.len() && j < refs.len() {
+        match hyp[i].cmp(refs[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                matched += 1;
+                i += 1;
+                j += 1;
+            }
         }
-        map
-    };
-    let ref_counts = count(reference);
-    let hyp_counts = count(hypothesis);
-    let total: usize = hyp_counts.values().sum();
-    let matched: usize = hyp_counts
-        .iter()
-        .map(|(g, c)| (*c).min(ref_counts.get(g).copied().unwrap_or(0)))
-        .sum();
-    matched as f64 / total as f64
+    }
+    matched as f64 / hyp.len() as f64
 }
 
 /// Translation metric: the faulty output is correct when its BLEU score
@@ -263,6 +276,99 @@ impl CorrectnessMetric for DetectionThreshold {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The original BLEU-4: per-n-gram `Vec` keys counted in hash maps and
+    /// no shortcut for identical sequences. The oracle for [`bleu4`].
+    fn bleu4_oracle(reference: &[usize], hypothesis: &[usize]) -> f64 {
+        if reference.is_empty() || hypothesis.is_empty() {
+            return if reference == hypothesis { 1.0 } else { 0.0 };
+        }
+        let precision = |n: usize| {
+            if hypothesis.len() < n {
+                return 0.0;
+            }
+            let count = |s: &[usize]| {
+                let mut map = std::collections::HashMap::new();
+                for w in s.windows(n) {
+                    *map.entry(w.to_vec()).or_insert(0usize) += 1;
+                }
+                map
+            };
+            let ref_counts = count(reference);
+            let hyp_counts = count(hypothesis);
+            let total: usize = hyp_counts.values().sum();
+            let matched: usize = hyp_counts
+                .iter()
+                .map(|(g, c)| (*c).min(ref_counts.get(g).copied().unwrap_or(0)))
+                .sum();
+            matched as f64 / total as f64
+        };
+        let mut log_sum = 0.0;
+        for n in 1..=4usize {
+            log_sum += precision(n).max(1e-7).ln() / 4.0;
+        }
+        let bp = if hypothesis.len() >= reference.len() {
+            1.0
+        } else {
+            (1.0 - reference.len() as f64 / hypothesis.len() as f64).exp()
+        };
+        (bp * log_sum.exp()).clamp(0.0, 1.0)
+    }
+
+    /// Token sequences of 0–12 tokens over a 4-token alphabet, so repeated
+    /// n-grams are common.
+    fn tokens() -> impl Strategy<Value = Vec<usize>> {
+        prop::collection::vec(0usize..4, 0..=12)
+    }
+
+    proptest! {
+        /// `bleu4` returns the oracle's exact bits: for unrelated pairs, for
+        /// a sequence against itself (including lengths below 4, where the
+        /// shortcut must not apply), and for one-token edits.
+        #[test]
+        fn bleu4_matches_the_hash_map_oracle_bitwise(
+            reference in tokens(),
+            hypothesis in tokens(),
+            edit in 0usize..12,
+        ) {
+            for (r, h) in [
+                (&reference, &hypothesis),
+                (&reference, &reference),
+                (&hypothesis, &hypothesis),
+            ] {
+                prop_assert_eq!(bleu4(r, h).to_bits(), bleu4_oracle(r, h).to_bits());
+            }
+            if !reference.is_empty() {
+                let mut edited = reference.clone();
+                edited[edit % reference.len()] ^= 1;
+                prop_assert_eq!(
+                    bleu4(&reference, &edited).to_bits(),
+                    bleu4_oracle(&reference, &edited).to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bleu4_identity_shortcut_edges() {
+        for s in [
+            vec![],
+            vec![1],
+            vec![1, 1, 1],
+            vec![2, 2, 2, 2],
+            vec![0, 1, 0, 1, 0, 1],
+        ] {
+            assert_eq!(
+                bleu4(&s, &s).to_bits(),
+                bleu4_oracle(&s, &s).to_bits(),
+                "{s:?}"
+            );
+        }
+        // Below four tokens an identical pair has no 4-gram and scores < 1.
+        assert!(bleu4(&[1, 2, 3], &[1, 2, 3]) < 1.0);
+        assert_eq!(bleu4(&[5, 6, 7, 8], &[5, 6, 7, 8]), 1.0);
+    }
 
     #[test]
     fn bleu_identity_is_one() {
