@@ -127,9 +127,14 @@ fn inject_once_core(
     // sanctioned wall-clock site); never feeds campaign statistics.
     let expired = || deadline.is_some_and(|d| fidelity_obs::clock::now() >= d);
     // The injection's two phases for `--profile`: evaluating the corrupted
-    // layer, then propagating and classifying it. Gated like the campaign's
+    // layer, then propagating and classifying it, with the classification
+    // (`inject.metric`) nested inside the walk. Gated like the campaign's
     // `injection_ns` histogram, so an unprofiled run pays one relaxed load.
     let timed = timing_enabled();
+    let judge = |out: &Tensor| {
+        let _metric_scope = timed.then(|| prof::scope("inject.metric"));
+        metric.is_correct(&trace.output, out)
+    };
     let apply_scope = timed.then(|| prof::scope("inject.apply"));
     let effect = apply_model_sparse(model, engine, trace, node, rng, ws)?;
     drop(apply_scope);
@@ -164,7 +169,7 @@ fn inject_once_core(
                     &app.values,
                     deadline,
                     ws,
-                    |out| metric.is_correct(&trace.output, out),
+                    judge,
                 ) {
                     Ok(correct) => Some(correct),
                     Err(DnnError::DeadlineExceeded) => {
@@ -197,7 +202,7 @@ fn inject_once_core(
                             }
                             Err(e) => return Err(e),
                         };
-                    let outcome = if metric.is_correct(&trace.output, resumed.tensor()) {
+                    let outcome = if judge(resumed.tensor()) {
                         Outcome::Masked
                     } else {
                         Outcome::OutputError

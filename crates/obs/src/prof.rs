@@ -16,9 +16,9 @@
 //! so the only shared state is the aggregate table, locked once per scope
 //! *exit*. Most profiled phases are coarse (campaign phases, supervisor
 //! steps). The exception is the injection's own `inject.apply` /
-//! `inject.walk` split, two exits per injection: those scopes are opened
-//! only when timing is on too, so they cost nothing unless a run asked for
-//! a profile.
+//! `inject.walk` / `inject.metric` split, up to three exits per injection:
+//! those scopes are opened only when timing is on too, so they cost nothing
+//! unless a run asked for a profile.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
